@@ -5,22 +5,35 @@ variable per active set that still contains free (unmatched) requests, at
 unit rate.  When the accumulated values on some eligible cross-set pair reach
 the pair's budget (distance plus arrival gap), the two sets merge, the
 triggering edge is marked, and free requests inside the merged set are
-matched greedily.  On exact-mode instances every quantity is a rational and
-every comparison is exact; float mode relaxes tightness tests by EPS_TIGHT.
+matched greedily.
+
+Exact mode keeps the clock, the request potentials and the pair budgets as
+Python ints over one shared scale ``S``: an int ``x`` stands for ``x / S``.
+``S`` starts as the lcm of the denominators of the arrival times and of the
+distances, and grows by a factor ``k`` (every stored int with it) when a time
+off the grid appears: a tight time half a step off, or an off-grid
+``advance_to``.  Fractions are built only where values leave the engine:
+event times, ``SetRecord`` fields, ``RunResult``, and the times taken and
+returned by ``next_event``, ``advance_to`` and ``constraint_value``.  Every
+comparison is exact.  Float mode runs the same code on binary64 values and
+relaxes tightness tests by EPS_TIGHT.
 
 A run is single-threaded and deterministic: simultaneous arrivals are
 processed in index order before any tightness processing at the same instant,
-and simultaneously tight pairs are consumed in lexicographic order with a
-full re-scan after every merge.
+and simultaneously tight pairs merge in lexicographic order.  ``live_pairs``
+holds only eligible pairs whose endpoints sit in different active sets; sets
+only merge, so a pair that becomes internal is dropped for good.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from .instance import Instance, edge_cost, surplus
+from .instance import Instance, surplus
 from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar, parse_scalar
 
 GROWING = "active-growing"
@@ -32,6 +45,16 @@ GROW = "grow-interval"
 TIGHT = "tight"
 MERGE = "merge"
 MATCH = "match"
+
+# 2 / r for r growing endpoints: slack * _TWO_OVER[r] is twice the time left
+# until the pair goes tight, and stays integral in exact mode.
+_TWO_OVER = (0, 2, 1)
+
+
+def _rational(x):
+    """An exact value with ``numerator`` and ``denominator``: ints and
+    Fractions as they are, floats as the Fraction they hold."""
+    return Fraction(x) if isinstance(x, float) else x
 
 
 class EngineInvariantError(RuntimeError):
@@ -59,9 +82,7 @@ class SetRecord:
     y: Scalar
     status: str
     free: set
-    children: tuple = None  # (set_id, set_id) for merged sets
     parent: int = None  # set_id this one merged into
-    deactivated_at: Scalar = None
     grow_intervals: list = field(default_factory=list)
 
 
@@ -143,41 +164,78 @@ class GreedyDualEngine:
         self.inst = inst
         self.mode = inst.mode
         self.self_check = self_check
-        n = len(inst.requests)
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        self.clock = zero
+        reqs = inst.requests
+        n = len(reqs)
+        self._exact = self.mode == EXACT
+        # Distances over distinct positions only: requests often share them.
+        ids = {}
+        self._pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
+        points = list(ids)
+        dist = [[None] * len(points) for _ in points]
+        for i, p in enumerate(points):
+            for j in range(i, len(points)):
+                dist[i][j] = dist[j][i] = inst.metric.distance(p, points[j])
+        atimes = [r.atime for r in reqs]
+        if self._exact:
+            self._zero = Fraction(0)
+            dist = [[_rational(d) for d in row] for row in dist]
+            atimes = [_rational(t) for t in atimes]
+            scale = lcm(*(t.denominator for t in atimes), *(d.denominator for row in dist for d in row))
+            self._scale = scale
+            self._dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
+            self._atime = [t.numerator * (scale // t.denominator) for t in atimes]
+            self._clock = 0  # self.clock in units of 1 / scale
+            self.potential = [0] * n  # accumulated dual value over sets containing u, scaled
+        else:
+            self._zero = 0.0
+            self._dist = dist
+            self._atime = atimes
+            self._clock = 0.0
+            self.potential = [0.0] * n
+        self._sgn = [r.sgn for r in reqs]
+        self.clock = self._zero
         self.next_arrival = 0
-        self.potential = [zero] * n  # accumulated dual value over sets containing u
         self.assign = [None] * n  # request index -> active set_id
+        self._grows = [0] * n  # 1 while the active set of u is growing
         self.sets: list[SetRecord] = []
         self.active_ids: set[int] = set()
-        self.frozen = {}  # (u, v) -> constraint value at the merge that internalized it
         self.marked = []  # (u, v, mark_time)
         self.matching = []  # (u, v, match_time)
         self.matched = [False] * n
-        self.match_time = [None] * n
         self.free_count = 0
         self.events: list[EventRecord] = []
-        # Eligible pairs among arrived requests, extended on each arrival.
-        self.live_pairs = []  # (u, v, cost, float cost)
-        self._pair_cost = {}
-        # Float shadows let exact runs pre-filter the quadratic scans; every
-        # decision is still confirmed in exact arithmetic.
-        self._accel = self.mode == EXACT
-        self.pot_f = [0.0] * n
-        self.clock_f = 0.0
-        scale = 1.0
-        for u in range(n):
-            for v in range(u + 1, n):
-                c = edge_cost(inst, u, v)
-                if c is not None:
-                    self._pair_cost[(u, v)] = c
-                    scale = max(scale, abs(float(c)))
-        for r in inst.requests:
-            scale = max(scale, abs(float(r.atime)))
-        if scale > 1e12:
-            self._accel = False  # float shadow too coarse; fall back to pure exact
-        self._margin = 1e-6 * (1.0 + scale)
+        # Eligible cross-set pairs among arrived requests, with their scaled
+        # budgets: extended on each arrival, pruned after merges.
+        self.live_pairs = []  # (u, v, budget)
+
+    # -- scaled values ----------------------------------------------------
+
+    def _internal(self, t) -> Scalar:
+        """Scaled value of ``t``, growing the scale first if ``t`` is off it."""
+        if not self._exact:
+            return t
+        den = t.denominator
+        if self._scale % den:
+            self._rescale(den // gcd(self._scale, den))
+        return t.numerator * (self._scale // den)
+
+    def _external(self, x, div: int = 1) -> Scalar:
+        """The value a scaled ``x`` stands for, divided by ``div``."""
+        if self._exact:
+            return Fraction(x, self._scale * div)
+        return x / div if div != 1 else x
+
+    def _rescale(self, k: int) -> None:
+        self._scale *= k
+        self._clock *= k
+        self.potential = [p * k for p in self.potential]
+        self._atime = [t * k for t in self._atime]
+        self._dist = [[d * k for d in row] for row in self._dist]
+        self.live_pairs = [(u, v, c * k) for u, v, c in self.live_pairs]
+
+    def _budget(self, u: int, v: int) -> Scalar:
+        """Scaled budget dist(u, v) + |arrival gap| of an eligible pair."""
+        return self._dist[self._pid[u]][self._pid[v]] + abs(self._atime[u] - self._atime[v])
 
     # -- event location ---------------------------------------------------
 
@@ -188,61 +246,35 @@ class GreedyDualEngine:
         ties; None once everything has arrived and matched.  A state with
         unmatched requests but nothing to wait for is a stuck-state bug.
         """
-        n = len(self.inst.requests)
-        t_arr = None
-        if self.next_arrival < n:
-            t_arr = self.inst.requests[self.next_arrival].atime
-        t_tight = self._next_tight_time()
-        if t_arr is None and t_tight is None:
-            if self.free_count > 0:
-                raise EngineInvariantError(
-                    "stuck-state: free requests remain but no growth can trigger a merge"
-                )
-            return None
-        if t_tight is None or (t_arr is not None and t_arr <= t_tight):
-            return (t_arr, ARRIVAL)
-        return (t_tight, TIGHT)
+        arrivals_left = self.next_arrival < len(self._atime)
+        key = self._least_tight_key()
+        if key is not None:
+            # Twice the tight time, scaled.  Doubling is exact in binary64, so
+            # in float mode t2 / 2 is the float clock + slack / r.
+            t2 = 2 * self._clock + key
+            if not self._exact and t2 < 2 * self._clock:
+                t2 = 2 * self._clock
+            if not arrivals_left or 2 * self._atime[self.next_arrival] > t2:
+                return (self._external(t2, 2), TIGHT)
+        if arrivals_left:
+            return (self.inst.requests[self.next_arrival].atime, ARRIVAL)
+        if self.free_count > 0:
+            raise EngineInvariantError(
+                "stuck-state: free requests remain but no growth can trigger a merge"
+            )
+        return None
 
-    def _next_tight_time(self):
+    def _least_tight_key(self):
+        """Least ``2 * slack / r`` over live pairs with r >= 1 growing
+        endpoints: twice the time until the first one goes tight."""
+        pot, grows, two_over = self.potential, self._grows, _TWO_OVER
         best = None
-        if self._accel:
-            # Float pass finds the approximate minimum; only pairs within the
-            # error margin of it are re-evaluated exactly.
-            fmin = None
-            rates = []
-            for u, v, cost, cost_f in self.live_pairs:
-                su, sv = self.assign[u], self.assign[v]
-                if su == sv:
-                    continue
-                r = (self.sets[su].status == GROWING) + (self.sets[sv].status == GROWING)
-                if r == 0:
-                    continue
-                tf = self.clock_f + (cost_f - self.pot_f[u] - self.pot_f[v]) / r
-                rates.append((u, v, cost, r, tf))
-                if fmin is None or tf < fmin:
-                    fmin = tf
-            if fmin is None:
-                return None
-            cutoff = fmin + self._margin
-            for u, v, cost, r, tf in rates:
-                if tf > cutoff:
-                    continue
-                t = self.clock + (cost - self.potential[u] - self.potential[v]) / r
-                if best is None or t < best:
-                    best = t
-            return best
-        for u, v, cost, _ in self.live_pairs:
-            su, sv = self.assign[u], self.assign[v]
-            if su == sv:
-                continue
-            r = (self.sets[su].status == GROWING) + (self.sets[sv].status == GROWING)
-            if r == 0:
-                continue
-            t = self.clock + (cost - self.potential[u] - self.potential[v]) / r
-            if self.mode != EXACT and t < self.clock:
-                t = self.clock
-            if best is None or t < best:
-                best = t
+        for u, v, cost in self.live_pairs:
+            r = grows[u] + grows[v]
+            if r:
+                key = (cost - pot[u] - pot[v]) * two_over[r]
+                if best is None or key < best:
+                    best = key
         return best
 
     # -- state transitions ------------------------------------------------
@@ -250,12 +282,15 @@ class GreedyDualEngine:
     def advance_to(self, t) -> None:
         """Move the clock to ``t``, growing every active growing set by the
         elapsed span.  No event may sit strictly inside the span."""
-        if t < self.clock:
+        if self._exact:
+            t = Fraction(t)
+        t_in = self._internal(t)
+        if t_in < self._clock:
             raise EngineInvariantError(f"clock would move backwards: {self.clock} -> {t}")
-        if t == self.clock:
+        if t_in == self._clock:
             return
-        delta = t - self.clock
-        delta_f = float(delta)
+        delta, delta_in = t - self.clock, t_in - self._clock
+        pot = self.potential
         for sid in sorted(self.active_ids):
             rec = self.sets[sid]
             if rec.status != GROWING:
@@ -263,11 +298,9 @@ class GreedyDualEngine:
             rec.y += delta
             rec.grow_intervals.append((self.clock, t))
             for u in rec.members:
-                self.potential[u] += delta
-                self.pot_f[u] += delta_f
+                pot[u] += delta_in
             self._log(t, GROW, {"set": sid, "from": self.clock, "to": t})
-        self.clock_f = float(t)
-        self.clock = t
+        self.clock, self._clock = t, t_in
 
     def on_arrival(self, u: int) -> None:
         """Admit request ``u`` (the clock must sit at its arrival time) and
@@ -279,7 +312,7 @@ class GreedyDualEngine:
         req = self.inst.requests[u]
         if u != self.next_arrival:
             raise EngineInvariantError(f"arrivals must be admitted in order; expected {self.next_arrival}, got {u}")
-        if req.atime != self.clock:
+        if self._atime[u] != self._clock:
             raise EngineInvariantError(f"arrival of {u} at clock {self.clock}, but atime is {req.atime}")
         self.next_arrival += 1
         sid = len(self.sets)
@@ -288,50 +321,42 @@ class GreedyDualEngine:
             members=frozenset({u}),
             sur=1,
             created_at=self.clock,
-            y=Fraction(0) if self.mode == EXACT else 0.0,
+            y=self._zero,
             status=GROWING,
             free={u},
         )
         self.sets.append(rec)
         self.active_ids.add(sid)
         self.assign[u] = sid
+        self._grows[u] = 1
         self.free_count += 1
-        for v in range(u):
-            key = (v, u)
-            if key in self._pair_cost:
-                c = self._pair_cost[key]
-                self.live_pairs.append((v, u, c, float(c)))
+        # Every earlier request sits in another active set: all pairs cross.
+        row, pid, atime, sgn = self._dist[self._pid[u]], self._pid, self._atime, self._sgn
+        au, partner = atime[u], -sgn[u]
+        self.live_pairs += [(v, u, row[pid[v]] + (au - atime[v])) for v in range(u) if sgn[v] == partner]
         self._log(self.clock, ARRIVAL, {"u": u})
 
     def process_tight(self) -> None:
         """Merge-and-match until no eligible cross-set pair is tight.
 
-        The scan restarts from scratch after every merge; simultaneously
-        tight pairs are consumed in (min index, max index) order.
+        One scan per instant: a merge moves no potential, so the pairs tight
+        now are the pairs tight after any merge at this instant.  They merge
+        in (min index, max index) order, skipping those an earlier merge
+        made internal; then every pair made internal leaves ``live_pairs``.
         """
-        while True:
-            pair = self._least_tight_pair()
-            if pair is None:
-                return
-            self._merge(*pair)
-
-    def _least_tight_pair(self):
-        best = None
-        for u, v, cost, cost_f in self.live_pairs:
-            su, sv = self.assign[u], self.assign[v]
-            if su == sv:
-                continue
-            if self._accel and self.pot_f[u] + self.pot_f[v] < cost_f - self._margin:
-                continue
-            value = self.potential[u] + self.potential[v]
-            if self.mode == EXACT:
-                if value != cost:
-                    continue
-            elif value < cost - EPS_TIGHT:
-                continue
-            if best is None or (u, v) < best:
-                best = (u, v)
-        return best
+        pot = self.potential
+        if self._exact:
+            tight = [(u, v) for u, v, cost in self.live_pairs if pot[u] + pot[v] == cost]
+        else:
+            tight = [(u, v) for u, v, cost in self.live_pairs if pot[u] + pot[v] >= cost - EPS_TIGHT]
+        if not tight:
+            return
+        tight.sort()
+        assign = self.assign
+        for u, v in tight:
+            if assign[u] != assign[v]:
+                self._merge(u, v)
+        self.live_pairs = [p for p in self.live_pairs if assign[p[0]] != assign[p[1]]]
 
     def _merge(self, u: int, v: int) -> None:
         a = self.sets[self.assign[u]]
@@ -347,33 +372,26 @@ class GreedyDualEngine:
             members=members,
             sur=surplus(self.inst, members),
             created_at=self.clock,
-            y=Fraction(0) if self.mode == EXACT else 0.0,
+            y=self._zero,
             status=GROWING,
             free=a.free | b.free,
-            children=(a.set_id, b.set_id),
         )
-        # Freeze constraint values of pairs that just became internal: no set
-        # created from here on can separate their endpoints again.
-        for x in a.members:
-            for w in b.members:
-                key = (x, w) if x < w else (w, x)
-                if key in self._pair_cost:
-                    self.frozen[key] = self.potential[x] + self.potential[w]
         for child in (a, b):
             child.status = INACTIVE
             child.parent = sid
-            child.deactivated_at = self.clock
             self.active_ids.discard(child.set_id)
         self.sets.append(rec)
         self.active_ids.add(sid)
-        for w in members:
-            self.assign[w] = sid
         self.marked.append((min(u, v), max(u, v), self.clock))
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
         if not rec.free:
             rec.status = NONGROWING
+        grows = int(rec.status == GROWING)
+        for w in members:
+            self.assign[w] = sid
+            self._grows[w] = grows
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -393,7 +411,6 @@ class GreedyDualEngine:
             rec.free.discard(x)
             rec.free.discard(partner)
             self.matched[x] = self.matched[partner] = True
-            self.match_time[x] = self.match_time[partner] = self.clock
             self.free_count -= 2
             pair = (min(x, partner), max(x, partner))
             self.matching.append((pair[0], pair[1], self.clock))
@@ -402,31 +419,49 @@ class GreedyDualEngine:
     def constraint_value(self, u: int, v: int) -> Scalar:
         """Accumulated dual value charged against the (u, v) budget: the sum
         of the endpoint potentials while the pair crosses active sets, frozen
-        at the merge that first put both endpoints in one active set."""
-        key = (min(u, v), max(u, v))
-        if key not in self._pair_cost:
+        at the merge that first put both endpoints in one active set.
+
+        The frozen value is derived: the y of the set that joined u and v,
+        and of every set it merged into, has since been added to both
+        potentials."""
+        n = len(self.inst.requests)
+        if not (0 <= u < n and 0 <= v < n) or u == v or not self.inst.eligible(u, v):
             raise ValueError(f"pair ({u}, {v}) is not eligible")
-        if (
-            self.assign[u] is not None
-            and self.assign[u] == self.assign[v]
-        ):
-            return self.frozen[key]
-        return self.potential[u] + self.potential[v]
+        value = self._external(self.potential[u] + self.potential[v])
+        if self.assign[u] is not None and self.assign[u] == self.assign[v]:
+            joined = next(rec for rec in self.sets if u in rec.members and v in rec.members)
+            value -= 2 * self._chain_y(joined.set_id)
+        return value
+
+    def _chain_y(self, sid: int) -> Scalar:
+        """Sum of y over set ``sid`` and every set it merged into."""
+        total = self._zero
+        while sid is not None:
+            rec = self.sets[sid]
+            total += rec.y
+            sid = rec.parent
+        return total
 
     # -- driving ----------------------------------------------------------
 
     def step(self) -> bool:
-        """Process one event (an arrival batch or a tight instant)."""
+        """Process one event (an arrival batch or a tight instant).
+
+        A step that neither moves the clock nor logs an event would repeat
+        forever, so it raises EngineInvariantError instead."""
         ev = self.next_event()
         if ev is None:
             return False
+        clock, logged = self.clock, len(self.events)
         t, kind = ev
         self.advance_to(t)
         if kind == ARRIVAL:
-            n = len(self.inst.requests)
-            while self.next_arrival < n and self.inst.requests[self.next_arrival].atime == t:
+            n = len(self._atime)
+            while self.next_arrival < n and self._atime[self.next_arrival] == self._clock:
                 self._admit(self.next_arrival)
         self.process_tight()
+        if self.clock == clock and len(self.events) == logged:
+            raise EngineInvariantError(f"stalled: {kind} event at {t} moved no clock and logged nothing")
         if self.self_check:
             self.check_invariants()
         return True
@@ -440,7 +475,7 @@ class GreedyDualEngine:
         inst = self.inst
         if any(not m for m in self.matched):
             raise EngineInvariantError("run ended with unmatched requests")
-        zero = Fraction(0) if self.mode == EXACT else 0.0
+        zero = self._zero
         connection = zero
         waiting = zero
         for u, v, t in self.matching:
@@ -476,6 +511,7 @@ class GreedyDualEngine:
         self._check_laminar()
         self._check_surplus()
         self._check_potential()
+        self._check_live_pairs()
         self._check_feasibility()
         self._check_marked_forest()
         self._check_marked_tight()
@@ -514,28 +550,62 @@ class GreedyDualEngine:
                 self._violated("surplus", f"set {sid} has {len(rec.free)} free, surplus {s}")
             if (rec.status == GROWING) != bool(rec.free):
                 self._violated("surplus", f"set {sid} status {rec.status} with free {sorted(rec.free)}")
+            for u in rec.members:
+                if self._grows[u] != (rec.status == GROWING):
+                    self._violated("surplus", f"request {u}: cached growth flag disagrees with set {sid}")
 
     def _check_potential(self):
         for u in range(self.next_arrival):
-            total = Fraction(0) if self.mode == EXACT else 0.0
+            total = self._zero
             for rec in self.sets:
                 if u in rec.members:
                     total += rec.y
-            if not self._eq(total, self.potential[u]):
-                self._violated("potential", f"request {u}: cached {self.potential[u]}, recomputed {total}")
+            cached = self._external(self.potential[u])
+            if not self._eq(total, cached):
+                self._violated("potential", f"request {u}: cached {cached}, recomputed {total}")
             bound = self.clock - self.inst.requests[u].atime
             if not self._leq(total, bound):
                 self._violated("potential", f"request {u}: value {total} exceeds waiting {bound}")
             if not self.matched[u] and not self._eq(total, bound):
                 self._violated("potential", f"free request {u}: value {total} != waiting {bound}")
 
+    def _check_live_pairs(self):
+        arrived = self.next_arrival
+        cross = [
+            (u, v)
+            for u, v in self.inst.eligible_pairs()
+            if v < arrived and self.assign[u] != self.assign[v]
+        ]
+        if sorted((u, v) for u, v, _ in self.live_pairs) != cross:
+            self._violated("live-pairs", "live pairs are not the eligible cross-set pairs")
+        for u, v, cost in self.live_pairs:
+            if cost != self._budget(u, v):
+                self._violated("live-pairs", f"pair ({u}, {v}): cached budget {self._external(cost)}")
+
     def _check_feasibility(self):
-        for u, v, cost, _ in self.live_pairs:
-            if not self._leq(self.constraint_value(u, v), cost):
+        pot = self.potential
+        for u, v, cost in self.live_pairs:
+            if not self._leq(pot[u] + pot[v], cost):
                 self._violated(
                     "feasibility",
-                    f"pair ({u}, {v}): value {self.constraint_value(u, v)} exceeds budget {cost}",
+                    f"pair ({u}, {v}): value {self.constraint_value(u, v)} exceeds budget {self._external(cost)}",
                 )
+        # Internal pairs, by the merge that joined them: both potentials have
+        # gained the y of that set and of every set it merged into since.
+        halves = defaultdict(list)
+        for rec in self.sets:
+            if rec.parent is not None:
+                halves[rec.parent].append(rec.members)
+        for sid, (a, b) in halves.items():
+            since = 2 * self._internal(self._chain_y(sid))
+            for x in a:
+                for w in b:
+                    if self.inst.eligible(x, w) and not self._leq(pot[x] + pot[w] - since, self._budget(x, w)):
+                        self._violated(
+                            "feasibility",
+                            f"pair ({x}, {w}): value {self.constraint_value(x, w)} exceeds budget "
+                            f"{self._external(self._budget(x, w))}",
+                        )
 
     def _check_marked_forest(self):
         parent = {}
@@ -566,12 +636,10 @@ class GreedyDualEngine:
 
     def _check_marked_tight(self):
         for u, v, _ in self.marked:
-            key = (u, v)
-            cost = self._pair_cost[key]
-            if not self._eq(self.frozen[key], cost):
-                self._violated(
-                    "marked-tight", f"edge ({u}, {v}) frozen at {self.frozen[key]}, budget {cost}"
-                )
+            value = self.constraint_value(u, v)
+            cost = self._external(self._budget(u, v))
+            if not self._eq(value, cost):
+                self._violated("marked-tight", f"edge ({u}, {v}) frozen at {value}, budget {cost}")
 
     def _check_final(self, result: RunResult):
         if not self._eq(result.waiting_cost, result.dual_objective):

@@ -42,15 +42,6 @@ class Request:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """An eligible pair with its dual-constraint budget."""
-
-    u: int
-    v: int
-    cost: Scalar
-
-
-@dataclass(frozen=True)
 class Instance:
     variant: str
     mode: str
@@ -92,13 +83,6 @@ def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:
         return None
     ru, rv = inst.requests[u], inst.requests[v]
     return inst.metric.distance(ru.pos, rv.pos) + abs(ru.atime - rv.atime)
-
-
-def edge(inst: Instance, u: int, v: int) -> Optional[Edge]:
-    cost = edge_cost(inst, u, v)
-    if cost is None:
-        return None
-    return Edge(min(u, v), max(u, v), cost)
 
 
 def surplus(inst: Instance, members) -> int:

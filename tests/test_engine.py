@@ -14,8 +14,11 @@ from delaymatch.engine import (
     events_to_jsonl,
     run,
 )
+from delaymatch.certify import certify
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
+from delaymatch.metric import EuclideanMetric
+from delaymatch.scalars import FLOAT
 
 LINE = {"kind": "line"}
 
@@ -197,3 +200,32 @@ def test_marked_edges_one_per_merge():
     assert len(merges) == res.num_marked_edges
     # a perfect matching over 2m requests in one component needs 2m - 1 edges
     assert res.num_sets == len(inst.requests) + len(merges)
+
+
+def test_step_without_progress_raises_instead_of_spinning():
+    # At coordinate scale 1e8 the absolute float tolerance cannot see the
+    # pair next_event calls tight, so a step would change nothing; it must
+    # raise rather than repeat.  The step cap keeps a spinning engine from
+    # hanging the test.
+    stalled = 0
+    for seed in range(20):
+        base = gen_random_instance(seed=seed, m=6, metric_kind="euclidean")
+        inst = make_instance(
+            MPMD,
+            EuclideanMetric(),
+            [((r.pos[0] * 1e8, r.pos[1] * 1e8), r.atime * 1e8, 0) for r in base.requests],
+            mode=FLOAT,
+        )
+        eng = GreedyDualEngine(inst)
+        try:
+            for _ in range(1000):
+                if not eng.step():
+                    break
+            else:
+                pytest.fail(f"seed {seed}: 1000 steps without finishing or raising")
+        except EngineInvariantError as exc:
+            assert str(exc).startswith("stalled: "), exc
+            stalled += 1
+            continue
+        assert certify(inst, eng.run()).ok, seed
+    assert stalled > 0
