@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
 from .instance import Instance, edge_cost, surplus
-from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar
+from .scalars import EXACT, Scalar, dump_scalar, eq, leq
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
@@ -183,16 +183,6 @@ class _Replay:
                 out[k] = v
         return out
 
-    def _eq(self, a, b):
-        if self.mode == EXACT:
-            return a == b
-        return abs(a - b) <= EPS_TIGHT * max(1.0, abs(a), abs(b))
-
-    def _leq(self, a, b):
-        if self.mode == EXACT:
-            return a <= b
-        return a <= b + EPS_TIGHT * max(1.0, abs(a), abs(b))
-
     def pair_value(self, u, v):
         key = (u, v) if u < v else (v, u)
         if key in self.frozen:
@@ -284,7 +274,7 @@ class _Replay:
         for u, v, c in self.pairs:
             if self.assign[u] is None or self.assign[v] is None:
                 continue
-            if not self._leq(self.pair_value(u, v), c):
+            if not leq(self.pair_value(u, v), c, self.mode):
                 self._fail(
                     "dual-feasibility",
                     f"pair ({u}, {v}) over budget after growth of set {sid}",
@@ -308,7 +298,7 @@ class _Replay:
         if self.assign[u] == self.assign[v]:
             self._fail("trace-shape", f"tight pair ({u}, {v}) lies inside one active set", u=u, v=v)
         value = self.pair_value(u, v)
-        if not self._eq(value, self.cost[key]):
+        if not eq(value, self.cost[key], self.mode):
             self._fail(
                 "marked-tightness",
                 f"pair ({u}, {v}) declared tight at value {dump_scalar(value, self.mode)}, "
@@ -422,7 +412,7 @@ class _Replay:
         for u in range(self.next_arrival):
             bound = self.clock - self.inst.requests[u].atime
             value = self.potential[u]
-            if not self._leq(value, bound):
+            if not leq(value, bound, self.mode):
                 self._fail(
                     "potential",
                     f"request {u} accumulated {dump_scalar(value, self.mode)}, waited "
@@ -431,7 +421,7 @@ class _Replay:
                     value=value,
                     waited=bound,
                 )
-            if not self.matched[u] and not self._eq(value, bound):
+            if not self.matched[u] and not eq(value, bound, self.mode):
                 self._fail(
                     "potential",
                     f"free request {u} accumulated {dump_scalar(value, self.mode)}, "
@@ -445,7 +435,7 @@ class _Replay:
         for u, v, c in self.pairs:
             if self.assign[u] is None or self.assign[v] is None:
                 continue
-            if not self._leq(self.pair_value(u, v), c):
+            if not leq(self.pair_value(u, v), c, self.mode):
                 self._fail(
                     "dual-feasibility",
                     f"pair ({u}, {v}) exceeds its budget",
@@ -527,7 +517,7 @@ class _Replay:
         for u, v, _ in self.marked:
             key = (u, v)
             value = self.frozen.get(key)
-            if value is None or not self._eq(value, self.cost[key]):
+            if value is None or not eq(value, self.cost[key], self.mode):
                 self._fail(
                     "marked-tightness",
                     f"marked edge ({u}, {v}) is not tight",
@@ -540,7 +530,7 @@ class _Replay:
     def _check_waiting_equals_dual(self):
         waiting = self.waiting_cost()
         dual = self.dual_objective()
-        if not self._eq(waiting, dual):
+        if not eq(waiting, dual, self.mode):
             self._fail(
                 "waiting-equals-dual",
                 f"waiting cost {dump_scalar(waiting, self.mode)} differs from dual objective "
@@ -555,7 +545,7 @@ class _Replay:
             check = marked_path(self.inst, self.marked, self.sets, (u, v), self.mode)
             if check is None:
                 self._fail("path-bound", f"no marked path joins matched pair ({u}, {v})", u=u, v=v)
-            if not self._leq(check.distance, check.path_length):
+            if not leq(check.distance, check.path_length, self.mode):
                 self._fail(
                     "path-bound",
                     f"pair ({u}, {v}): distance exceeds its marked path",
@@ -571,7 +561,7 @@ class _Replay:
                     u=u,
                     v=v,
                 )
-            if not self._leq(check.distance, 2 * dual):
+            if not leq(check.distance, 2 * dual, self.mode):
                 self._fail(
                     "path-bound",
                     f"pair ({u}, {v}): distance exceeds twice the dual objective",
@@ -585,7 +575,7 @@ class _Replay:
         total = self.connection_cost() + self.waiting_cost()
         dual = self.dual_objective()
         bound = (GUARANTEE_SLOPE * self.inst.m + 1) * dual
-        if not self._leq(total, bound):
+        if not leq(total, bound, self.mode):
             self._fail(
                 "total-bound",
                 f"total cost {dump_scalar(total, self.mode)} exceeds the guarantee "
@@ -700,7 +690,7 @@ def _cross_check(replay: _Replay, result: RunResult):
         ("total_cost", replay.connection_cost() + replay.waiting_cost(), result.total_cost),
     ]
     for name, derived, reported in checks:
-        if not replay._eq(derived, reported):
+        if not eq(derived, reported, replay.mode):
             raise _Violation(
                 "summary-consistency",
                 f"reported {name} {dump_scalar(reported, replay.mode)} differs from replayed "
@@ -774,10 +764,7 @@ def ratio_report(inst: Instance, result: RunResult, opt_value=None) -> RatioRepo
     ratio_dual = None if not dual else total / dual
     ratio_opt = None if (opt_value is None or not opt_value) else total / opt_value
     reference = opt_value if opt_value is not None else dual
-    if inst.mode == EXACT:
-        within = total <= factor * reference
-    else:
-        within = total <= factor * reference + EPS_TIGHT * max(1.0, abs(total))
+    within = leq(total, factor * reference, inst.mode)
     return RatioReport(
         mode=inst.mode,
         m=inst.m,

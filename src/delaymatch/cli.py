@@ -392,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--trace", help="write the event log to this file as JSON lines")
     runp.add_argument("--certify", action="store_true", help="verify the run before reporting")
     runp.add_argument(
-        "--self-check", action="store_true", help="run engine invariant checks at every event"
+        "--self-check",
+        action="store_true",
+        help="replay every step through the certifier and check engine caches as the run goes",
     )
     runp.set_defaults(func=_cmd_run)
 

@@ -15,8 +15,8 @@ off the grid appears: a tight time half a step off, or an off-grid
 ``advance_to``.  Fractions are built only where values leave the engine:
 event times, ``SetRecord`` fields, ``RunResult``, and the times taken and
 returned by ``next_event``, ``advance_to`` and ``constraint_value``.  Every
-comparison is exact.  Float mode runs the same code on binary64 values and
-relaxes tightness tests by EPS_TIGHT.
+comparison is exact.  Float mode runs the same code on binary64 values; its
+tightness test follows the relative tolerance rule of ``scalars``.
 
 A run is single-threaded and deterministic: simultaneous arrivals are
 processed in index order before any tightness processing at the same instant,
@@ -28,13 +28,12 @@ only merge, so a pair that becomes internal is dropped for good.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .instance import Instance, surplus
-from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar, parse_scalar
+from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar, eq, parse_scalar
 
 GROWING = "active-growing"
 NONGROWING = "active-nongrowing"
@@ -156,8 +155,10 @@ def events_from_jsonl(text: str, mode: str):
 class GreedyDualEngine:
     """Stepwise simulator; ``run`` drives it to completion.
 
-    With ``self_check=True`` the full invariant battery runs after every
-    event and raises EngineInvariantError naming the first breach.
+    With ``self_check=True`` every step feeds its events to the certifier's
+    replay, which re-checks the run's invariants as they unfold, and the
+    engine's own caches are compared with the replayed state; the first
+    breach raises EngineInvariantError("<property>: <detail>").
     """
 
     def __init__(self, inst: Instance, self_check: bool = False):
@@ -207,6 +208,11 @@ class GreedyDualEngine:
         # Eligible cross-set pairs among arrived requests, with their scaled
         # budgets: extended on each arrival, pruned after merges.
         self.live_pairs = []  # (u, v, budget)
+        if self_check:
+            from .certify import _Replay  # certify imports this module
+
+            self._replay = _Replay(inst)
+            self._checked = 0  # events fed to the replay so far
 
     # -- scaled values ----------------------------------------------------
 
@@ -348,7 +354,12 @@ class GreedyDualEngine:
         if self._exact:
             tight = [(u, v) for u, v, cost in self.live_pairs if pot[u] + pot[v] == cost]
         else:
-            tight = [(u, v) for u, v, cost in self.live_pairs if pot[u] + pot[v] >= cost - EPS_TIGHT]
+            # The scalars tolerance rule, with the budget as the magnitude.
+            tight = [
+                (u, v)
+                for u, v, cost in self.live_pairs
+                if pot[u] + pot[v] >= cost - (EPS_TIGHT * cost if cost > 1.0 else EPS_TIGHT)
+            ]
         if not tight:
             return
         tight.sort()
@@ -463,7 +474,7 @@ class GreedyDualEngine:
         if self.clock == clock and len(self.events) == logged:
             raise EngineInvariantError(f"stalled: {kind} event at {t} moved no clock and logged nothing")
         if self.self_check:
-            self.check_invariants()
+            self._self_check()
         return True
 
     def run(self) -> RunResult:
@@ -498,176 +509,46 @@ class GreedyDualEngine:
             dual_objective=dual,
         )
         if self.self_check:
-            self._check_final(result)
+            self._self_check(result)
         return result
 
     def _log(self, t, kind, payload) -> None:
         self.events.append(EventRecord(t=t, kind=kind, payload=payload))
 
-    # -- invariant battery (debug mode) ------------------------------------
+    # -- self-check (debug mode) --------------------------------------------
 
-    def check_invariants(self) -> None:
-        self._check_partition()
-        self._check_laminar()
-        self._check_surplus()
-        self._check_potential()
-        self._check_live_pairs()
-        self._check_feasibility()
-        self._check_marked_forest()
-        self._check_marked_tight()
+    def _self_check(self, result: RunResult = None) -> None:
+        """Feed the events logged since the last check to the certifier's
+        replay and settle it, or, given the finished ``result``, run the
+        replay's endgame and summary checks.  Then compare the engine caches
+        a replay cannot see.  The first breach raises EngineInvariantError."""
+        from .certify import _cross_check, _Violation
 
-    def _violated(self, name, detail):
-        raise EngineInvariantError(f"{name}: {detail}")
-
-    def _check_partition(self):
-        seen = set()
-        for sid in self.active_ids:
-            members = self.sets[sid].members
-            if seen & members:
-                self._violated("partition", f"overlap at set {sid}")
-            seen |= members
-            for u in members:
-                if self.assign[u] != sid:
-                    self._violated("partition", f"request {u} assigned to {self.assign[u]}, found in {sid}")
-        arrived = set(range(self.next_arrival))
-        if seen != arrived:
-            self._violated("partition", f"active sets cover {sorted(seen)}, arrived {sorted(arrived)}")
-
-    def _check_laminar(self):
-        for i, a in enumerate(self.sets):
-            for b in self.sets[i + 1 :]:
-                inter = a.members & b.members
-                if inter and not (a.members <= b.members or b.members <= a.members):
-                    self._violated("laminar", f"sets {a.set_id} and {b.set_id} straddle")
-
-    def _check_surplus(self):
-        for sid in self.active_ids:
-            rec = self.sets[sid]
-            s = surplus(self.inst, rec.members)
-            if rec.sur != s:
-                self._violated("surplus", f"set {sid} cached surplus {rec.sur}, recomputed {s}")
-            if len(rec.free) != s:
-                self._violated("surplus", f"set {sid} has {len(rec.free)} free, surplus {s}")
-            if (rec.status == GROWING) != bool(rec.free):
-                self._violated("surplus", f"set {sid} status {rec.status} with free {sorted(rec.free)}")
-            for u in rec.members:
-                if self._grows[u] != (rec.status == GROWING):
-                    self._violated("surplus", f"request {u}: cached growth flag disagrees with set {sid}")
-
-    def _check_potential(self):
-        for u in range(self.next_arrival):
-            total = self._zero
-            for rec in self.sets:
-                if u in rec.members:
-                    total += rec.y
-            cached = self._external(self.potential[u])
-            if not self._eq(total, cached):
-                self._violated("potential", f"request {u}: cached {cached}, recomputed {total}")
-            bound = self.clock - self.inst.requests[u].atime
-            if not self._leq(total, bound):
-                self._violated("potential", f"request {u}: value {total} exceeds waiting {bound}")
-            if not self.matched[u] and not self._eq(total, bound):
-                self._violated("potential", f"free request {u}: value {total} != waiting {bound}")
-
-    def _check_live_pairs(self):
-        arrived = self.next_arrival
-        cross = [
-            (u, v)
-            for u, v in self.inst.eligible_pairs()
-            if v < arrived and self.assign[u] != self.assign[v]
-        ]
+        replay = self._replay
+        try:
+            for i in range(self._checked, len(self.events)):
+                replay.apply(i, self.events[i])
+            self._checked = len(self.events)
+            if result is None:
+                replay._settle()
+            else:
+                replay.finish()
+                _cross_check(replay, result)
+        except _Violation as exc:
+            raise EngineInvariantError(str(exc)) from None
+        arrived, assign = self.next_arrival, replay.assign
+        cross = [(u, v) for u, v in self.inst.eligible_pairs() if v < arrived and assign[u] != assign[v]]
         if sorted((u, v) for u, v, _ in self.live_pairs) != cross:
-            self._violated("live-pairs", "live pairs are not the eligible cross-set pairs")
+            raise EngineInvariantError("live-pairs: live pairs are not the eligible cross-set pairs")
         for u, v, cost in self.live_pairs:
             if cost != self._budget(u, v):
-                self._violated("live-pairs", f"pair ({u}, {v}): cached budget {self._external(cost)}")
-
-    def _check_feasibility(self):
-        pot = self.potential
-        for u, v, cost in self.live_pairs:
-            if not self._leq(pot[u] + pot[v], cost):
-                self._violated(
-                    "feasibility",
-                    f"pair ({u}, {v}): value {self.constraint_value(u, v)} exceeds budget {self._external(cost)}",
-                )
-        # Internal pairs, by the merge that joined them: both potentials have
-        # gained the y of that set and of every set it merged into since.
-        halves = defaultdict(list)
-        for rec in self.sets:
-            if rec.parent is not None:
-                halves[rec.parent].append(rec.members)
-        for sid, (a, b) in halves.items():
-            since = 2 * self._internal(self._chain_y(sid))
-            for x in a:
-                for w in b:
-                    if self.inst.eligible(x, w) and not self._leq(pot[x] + pot[w] - since, self._budget(x, w)):
-                        self._violated(
-                            "feasibility",
-                            f"pair ({x}, {w}): value {self.constraint_value(x, w)} exceeds budget "
-                            f"{self._external(self._budget(x, w))}",
-                        )
-
-    def _check_marked_forest(self):
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        for u, v, _ in self.marked:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                self._violated("marked-forest", f"cycle closed by edge ({u}, {v})")
-            parent[ru] = rv
-        for sid in self.active_ids:
-            members = self.sets[sid].members
-            inside = [(u, v) for u, v, _ in self.marked if u in members and v in members]
-            if len(inside) != len(members) - 1:
-                self._violated(
-                    "marked-forest",
-                    f"set {sid}: {len(inside)} marked edges for {len(members)} members",
-                )
-        for u, v, _ in self.marked:
-            su, sv = self.assign[u], self.assign[v]
-            if su != sv:
-                self._violated("marked-forest", f"marked edge ({u}, {v}) crosses active sets")
-
-    def _check_marked_tight(self):
-        for u, v, _ in self.marked:
-            value = self.constraint_value(u, v)
-            cost = self._external(self._budget(u, v))
-            if not self._eq(value, cost):
-                self._violated("marked-tight", f"edge ({u}, {v}) frozen at {value}, budget {cost}")
-
-    def _check_final(self, result: RunResult):
-        if not self._eq(result.waiting_cost, result.dual_objective):
-            self._violated(
-                "waiting-equals-dual",
-                f"waiting {result.waiting_cost} vs objective {result.dual_objective}",
-            )
-        for u, v, t in result.matching:
-            if not self.inst.eligible(u, v):
-                self._violated("eligibility", f"matched pair ({u}, {v})")
-            if t < self.inst.requests[u].atime or t < self.inst.requests[v].atime:
-                self._violated("eligibility", f"pair ({u}, {v}) matched before arrival")
-            d = self.inst.metric.distance(self.inst.requests[u].pos, self.inst.requests[v].pos)
-            if not self._leq(d, 2 * result.dual_objective):
-                self._violated("path-bound", f"pair ({u}, {v}) distance {d}")
-        bound = (2 * result.m + 1) * result.dual_objective
-        if not self._leq(result.total_cost, bound):
-            self._violated("total-bound", f"total {result.total_cost} vs {bound}")
-
-    def _eq(self, a, b):
-        if self.mode == EXACT:
-            return a == b
-        return abs(a - b) <= EPS_TIGHT
-
-    def _leq(self, a, b):
-        if self.mode == EXACT:
-            return a <= b
-        return a <= b + EPS_TIGHT
+                raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(cost)}")
+        for u in range(arrived):
+            cached, replayed = self._external(self.potential[u]), replay.potential[u]
+            if not eq(cached, replayed, self.mode):
+                raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
+            if self._grows[u] != bool(replay.sets[assign[u]].free):
+                raise EngineInvariantError(f"growth-flag: request {u}: cached flag disagrees with set {assign[u]}")
 
 
 def run(inst: Instance, self_check: bool = False) -> RunResult:

@@ -1,9 +1,11 @@
 """Numeric modes shared by every layer.
 
 Instances run either in exact mode (all quantities are ``fractions.Fraction``,
-every comparison is exact) or in float mode (binary64, tightness and equality
-checks use the ``EPS_TIGHT`` tolerance).  Values are immutable and safe to
-share between threads.
+every comparison is exact) or in float mode (binary64).  Float mode has one
+tolerance rule, relative so that it means the same at any coordinate scale:
+``a`` and ``b`` count as equal when ``|a - b| <= EPS_TIGHT * max(1, |a|, |b|)``.
+``leq``, ``eq`` and ``is_tight`` apply it; the engine's tight-pair scan
+inlines it.  Values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
 
-# Tolerance for tightness/equality tests in float mode.
+# Relative tolerance of float-mode comparisons; below magnitude 1 it is absolute.
 EPS_TIGHT = 1e-9
 
 
@@ -67,22 +69,21 @@ def dump_scalar(value: Scalar, mode: str):
     return float(value)
 
 
-def is_tight(value: Scalar, budget: Scalar, mode: str) -> bool:
-    """Whether a dual constraint with the given accumulated value is tight."""
-    if mode == EXACT:
-        return value == budget
-    return value >= budget - EPS_TIGHT
-
-
 def leq(a: Scalar, b: Scalar, mode: str) -> bool:
     """``a <= b`` up to the mode's tolerance."""
     if mode == EXACT:
         return a <= b
-    return a <= b + EPS_TIGHT
+    return a <= b + EPS_TIGHT * max(1.0, abs(a), abs(b))
 
 
 def eq(a: Scalar, b: Scalar, mode: str) -> bool:
     """``a == b`` up to the mode's tolerance."""
     if mode == EXACT:
         return a == b
-    return abs(a - b) <= EPS_TIGHT
+    return abs(a - b) <= EPS_TIGHT * max(1.0, abs(a), abs(b))
+
+
+def is_tight(value: Scalar, budget: Scalar, mode: str) -> bool:
+    """Whether a dual constraint with the given accumulated value is tight:
+    ``value >= budget`` up to the mode's tolerance."""
+    return leq(budget, value, mode)

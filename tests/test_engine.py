@@ -203,17 +203,19 @@ def test_marked_edges_one_per_merge():
 
 
 def test_step_without_progress_raises_instead_of_spinning():
-    # At coordinate scale 1e8 the absolute float tolerance cannot see the
-    # pair next_event calls tight, so a step would change nothing; it must
-    # raise rather than repeat.  The step cap keeps a spinning engine from
-    # hanging the test.
+    # With every arrival shifted by 1e9 the float clock resolves only about
+    # 1e-7, while the budgets do not see the shift and stay near 1, so their
+    # tolerance is about 1e-9.  The tight scan then misses the pair
+    # next_event calls tight, and a step would change nothing; it must raise
+    # rather than repeat.  The step cap keeps a spinning engine from hanging
+    # the test.
     stalled = 0
     for seed in range(20):
         base = gen_random_instance(seed=seed, m=6, metric_kind="euclidean")
         inst = make_instance(
             MPMD,
             EuclideanMetric(),
-            [((r.pos[0] * 1e8, r.pos[1] * 1e8), r.atime * 1e8, 0) for r in base.requests],
+            [(r.pos, r.atime + 1e9, 0) for r in base.requests],
             mode=FLOAT,
         )
         eng = GreedyDualEngine(inst)

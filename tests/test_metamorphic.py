@@ -1,20 +1,26 @@
-"""Metamorphic checks in exact mode: scaling an instance by c (positions,
-arrival times, ring circumference, matrix entries) and shifting every arrival
-by d >= 0 maps each event time t to c*t + d and leaves everything else alone.
-The matching and the event sequence are unchanged, and total cost and dual
-objective scale by c (waiting is a difference of times, so d cancels)."""
+"""Metamorphic checks: scaling an instance by c (positions, arrival times,
+ring circumference, matrix entries) and shifting every arrival by d >= 0 maps
+each event time t to c*t + d and leaves everything else alone.  The matching
+and the event sequence are unchanged, and total cost and dual objective scale
+by c (waiting is a difference of times, so d cancels).  In exact mode all of
+this holds exactly; in float mode the matching holds, the run certifies and
+the costs scale within 1e-6 relative, over a ladder of scales and shifts."""
 
 from fractions import Fraction
 
 import pytest
 
+from delaymatch.certify import certify
 from delaymatch.engine import run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
-from delaymatch.metric import LineMetric, MatrixMetric, RingMetric
+from delaymatch.metric import EuclideanMetric, LineMetric, MatrixMetric, RingMetric
+from delaymatch.scalars import FLOAT
 
 FACTORS = (Fraction(1, 3), Fraction(7, 5), Fraction(1, 2**40), Fraction(10**6))
 SHIFTS = (Fraction(0), Fraction(5, 3), Fraction(1000))
+FLOAT_SCALES = (1e-3, 1.0, 1e4, 1e6, 1e8, 1e12)
+FLOAT_SHIFTS = (1e3, 1e6)
 
 
 def transform(inst, c, d):
@@ -61,3 +67,27 @@ def test_scaling_and_shifting_map_every_event_time(c, d):
         assert [c * t + d for _, _, t in base.matching] == [t for _, _, t in moved.matching], where
         assert moved.total_cost == c * base.total_cost, where
         assert moved.dual_objective == c * base.dual_objective, where
+
+
+FLOAT_BASES = [gen_random_instance(seed=seed, m=6, metric_kind="euclidean") for seed in range(20)]
+
+
+def euclidean_transform(inst, c, d):
+    requests = [((r.pos[0] * c, r.pos[1] * c), r.atime * c + d, r.sgn) for r in inst.requests]
+    return make_instance(inst.variant, EuclideanMetric(), requests, mode=FLOAT)
+
+
+@pytest.mark.parametrize(
+    "c, d",
+    [(c, 0.0) for c in FLOAT_SCALES] + [(1.0, d) for d in FLOAT_SHIFTS],
+    ids=lambda x: f"{x:g}",
+)
+def test_float_mode_holds_at_every_scale_and_shift(c, d):
+    for seed, inst in enumerate(FLOAT_BASES):
+        base = run(inst)
+        moved_inst = euclidean_transform(inst, c, d)
+        moved = run(moved_inst)
+        assert [(u, v) for u, v, _ in moved.matching] == [(u, v) for u, v, _ in base.matching], seed
+        assert certify(moved_inst, moved).ok, seed
+        assert moved.total_cost == pytest.approx(c * base.total_cost, rel=1e-6), seed
+        assert moved.dual_objective == pytest.approx(c * base.dual_objective, rel=1e-6), seed

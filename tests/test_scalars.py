@@ -78,3 +78,12 @@ def test_comparisons_follow_mode():
     assert leq(1.0 + EPS_TIGHT / 2, 1.0, FLOAT)
     assert eq(1.0 + EPS_TIGHT / 2, 1.0, FLOAT)
     assert not eq(1.0 + 1e-6, 1.0, FLOAT)
+
+
+def test_float_tolerance_is_relative_above_magnitude_one():
+    assert is_tight(1e12 - 100.0, 1e12, FLOAT)
+    assert not is_tight(1e12 - 1e4, 1e12, FLOAT)
+    assert eq(1e12 + 100.0, 1e12, FLOAT)
+    assert not eq(1e-3 + 1e-8, 1e-3, FLOAT)  # absolute below magnitude 1
+    assert leq(1e12 + 100.0, 1e12, FLOAT)
+    assert not leq(1e12 + 1e4, 1e12, FLOAT)

@@ -1,0 +1,132 @@
+"""Mutation tests for ``self_check=True``: each engine subclass below injects
+one bug class, and the per-step check must raise EngineInvariantError for it
+on every instance of a small mixed corpus.  Errors the engine raises on its
+own when its state has already gone wrong (a stall, a stuck state, a clock
+moving backwards) do not count as a catch."""
+
+import pytest
+
+from delaymatch.engine import GROW, MATCH, MERGE, EngineInvariantError, GreedyDualEngine
+from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
+from delaymatch.instance import MBPMD, MPMD
+
+ENGINE_FAULTS = ("stalled:", "stuck-state:", "clock would move backwards", "run ended with unmatched")
+
+
+def _corpus():
+    out = [gen_tightness_instance(4), gen_tightness_instance(6, variant=MBPMD), gen_ring_instance(8)]
+    for kind in ("line", "ring", "matrix", "euclidean"):
+        for seed, variant in enumerate((MPMD, MBPMD)):
+            out.append(gen_random_instance(seed=seed, m=3 + seed, variant=variant, metric_kind=kind))
+    out.append(gen_random_instance(seed=11, m=10, metric_kind="line"))
+    out.append(gen_random_instance(seed=3, m=6, metric_kind="euclidean"))
+    return out
+
+
+CORPUS = _corpus()
+
+
+class InflatedPotential(GreedyDualEngine):
+    """Credits request 0 with twice the growth of its set."""
+
+    def advance_to(self, t):
+        before = self.potential[0]
+        super().advance_to(t)
+        self.potential[0] += self.potential[0] - before
+
+
+class BudgetWithoutGap(GreedyDualEngine):
+    """Budgets a newly arrived request's pairs by distance alone."""
+
+    def _admit(self, u):
+        super()._admit(u)
+        dist, pid = self._dist, self._pid
+        self.live_pairs = [(a, b, dist[pid[a]][pid[b]] if b == u else c) for a, b, c in self.live_pairs]
+
+
+class WrongGrowthFlag(GreedyDualEngine):
+    """Flips the cached growth flag of every member of a merged set."""
+
+    def _merge(self, u, v):
+        super()._merge(u, v)
+        for w in self.sets[-1].members:
+            self._grows[w] = 1 - self._grows[w]
+
+
+class _MisLogging(GreedyDualEngine):
+    """Rewrites (or drops, on None) the first logged event of ``kind``."""
+
+    kind = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._done = False
+
+    def _log(self, t, kind, payload):
+        if kind == self.kind and not self._done:
+            self._done = True
+            payload = self.rewrite(payload)
+            if payload is None:
+                return
+        super()._log(t, kind, payload)
+
+
+class DroppedGrow(_MisLogging):
+    kind = GROW
+
+    def rewrite(self, payload):
+        return None
+
+
+class GrowUnderWrongSet(_MisLogging):
+    kind = GROW
+
+    def rewrite(self, payload):
+        return {**payload, "set": payload["set"] + 1}
+
+
+class UnloggedMerge(_MisLogging):
+    kind = MERGE
+
+    def rewrite(self, payload):
+        return None
+
+
+class MislabeledMatch(_MisLogging):
+    """Logs the first match with another request in place of ``v``."""
+
+    kind = MATCH
+
+    def rewrite(self, payload):
+        u, v = payload["u"], payload["v"]
+        return {"u": u, "v": next(w for w in range(len(self.inst.requests)) if w not in (u, v))}
+
+
+BUGS = (
+    InflatedPotential,
+    BudgetWithoutGap,
+    WrongGrowthFlag,
+    DroppedGrow,
+    GrowUnderWrongSet,
+    UnloggedMerge,
+    MislabeledMatch,
+)
+
+
+def test_clean_engine_passes_its_self_check():
+    for inst in CORPUS:
+        GreedyDualEngine(inst, self_check=True).run()
+
+
+@pytest.mark.parametrize("bug", BUGS, ids=lambda cls: cls.__name__)
+def test_self_check_catches_injected_bug(bug):
+    missed = []
+    for i, inst in enumerate(CORPUS):
+        try:
+            bug(inst, self_check=True).run()
+        except EngineInvariantError as exc:
+            if str(exc).startswith(ENGINE_FAULTS):
+                missed.append((i, str(exc)))
+        else:
+            missed.append((i, "ran to completion"))
+    assert not missed, missed
