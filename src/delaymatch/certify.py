@@ -25,6 +25,21 @@ settled instants.  Growth is linear, so values between two checked endpoints
 stay between the endpoint values; checking each endpoint makes an inflated or
 misattributed growth step surface immediately as a feasibility or potential
 violation instead of hiding inside a batch.
+
+Each of those checks visits only the pairs that can have changed since the
+previous one, and still decides feasibility of every pair.  The replay builds
+its sets itself, so two requests in one set were joined by exactly one merge,
+which froze their pair at its value then; a merge therefore moves no pair's
+value, and neither do arrivals and matches.  A growth event raises the
+potentials of the grown set's members, which changes exactly the pairs with
+one end inside the set and one outside: those were never in a common set, so
+they read the potentials.  A pair becomes checkable when its later end
+arrives.  Budgets never change.  So after a growth event the replay checks
+the grown set's cross pairs plus every pair of a request that arrived since
+the previous check, and at a settled instant only the latter; every other
+arrived pair has the value and budget with which it passed.  When a checked
+pair is over budget, the full sweep runs and reports the lexicographically
+first pair over budget, exactly as a full sweep after every event would.
 """
 
 from __future__ import annotations
@@ -168,6 +183,11 @@ class _Replay:
                 if c is not None:
                     self.pairs.append((u, v, c))
         self.cost = {(u, v): c for u, v, c in self.pairs}
+        self.incident = [[] for _ in range(n)]  # u -> [(w, cost)] over u's eligible pairs
+        for u, v, c in self.pairs:
+            self.incident[u].append((v, c))
+            self.incident[v].append((u, c))
+        self.fresh = []  # requests arrived since the last feasibility check
 
     # -- plumbing ----------------------------------------------------------
 
@@ -238,6 +258,7 @@ class _Replay:
         sid = len(self.sets)
         self.sets.append(_RSet(sid, frozenset({u}), 1, self.clock, self.zero))
         self.assign[u] = sid
+        self.fresh.append(u)
 
     def _ev_grow(self, ev):
         sid = ev.payload.get("set")
@@ -269,20 +290,9 @@ class _Replay:
         rec.growth_end = end
         for u in rec.members:
             self.potential[u] += delta
-        # Immediate feasibility sweep: a single inflated growth step must not
+        # Immediate feasibility check: a single inflated growth step must not
         # survive until the end of its batch.
-        for u, v, c in self.pairs:
-            if self.assign[u] is None or self.assign[v] is None:
-                continue
-            if not leq(self.pair_value(u, v), c, self.mode):
-                self._fail(
-                    "dual-feasibility",
-                    f"pair ({u}, {v}) over budget after growth of set {sid}",
-                    u=u,
-                    v=v,
-                    value=self.pair_value(u, v),
-                    budget=c,
-                )
+        self._check_feasibility(rec.members, f"over budget after growth of set {sid}")
 
     def _ev_tight(self, ev):
         u, v = ev.payload.get("u"), ev.payload.get("v")
@@ -431,14 +441,37 @@ class _Replay:
                     waited=bound,
                 )
 
-    def _check_feasibility(self):
+    def _check_feasibility(self, grown=frozenset(), breach="exceeds its budget"):
+        """Every arrived eligible pair within budget, after the members of
+        ``grown`` grew; the first pair over budget is reported as ``breach``."""
+        if not self._changed_pairs_feasible(grown):
+            self._sweep_feasibility(breach)
+        self.fresh = []
+
+    def _changed_pairs_feasible(self, grown):
+        """Whether the pairs that can have changed since the last check are
+        within budget: the cross pairs of ``grown`` and every pair of a
+        request arrived since then (the module docstring has the argument)."""
+        assign, potential, mode = self.assign, self.potential, self.mode
+        for u in grown:
+            pu = potential[u]
+            for w, c in self.incident[u]:
+                if w not in grown and assign[w] is not None and not leq(pu + potential[w], c, mode):
+                    return False
+        for u in self.fresh:  # may already share a set, hence pair_value
+            for w, c in self.incident[u]:
+                if assign[w] is not None and not leq(self.pair_value(u, w), c, mode):
+                    return False
+        return True
+
+    def _sweep_feasibility(self, breach):
         for u, v, c in self.pairs:
             if self.assign[u] is None or self.assign[v] is None:
                 continue
             if not leq(self.pair_value(u, v), c, self.mode):
                 self._fail(
                     "dual-feasibility",
-                    f"pair ({u}, {v}) exceeds its budget",
+                    f"pair ({u}, {v}) {breach}",
                     u=u,
                     v=v,
                     value=self.pair_value(u, v),

@@ -537,7 +537,7 @@ class GreedyDualEngine:
         except _Violation as exc:
             raise EngineInvariantError(str(exc)) from None
         arrived, assign = self.next_arrival, replay.assign
-        cross = [(u, v) for u, v in self.inst.eligible_pairs() if v < arrived and assign[u] != assign[v]]
+        cross = [(u, v) for u, v, _ in replay.pairs if v < arrived and assign[u] != assign[v]]
         if sorted((u, v) for u, v, _ in self.live_pairs) != cross:
             raise EngineInvariantError("live-pairs: live pairs are not the eligible cross-set pairs")
         for u, v, cost in self.live_pairs:

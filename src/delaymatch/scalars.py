@@ -62,7 +62,7 @@ def parse_scalar(value, mode: str) -> Scalar:
 def dump_scalar(value: Scalar, mode: str):
     """Encode a scalar for JSON.  Integral rationals become plain ints."""
     if mode == EXACT:
-        frac = Fraction(value)
+        frac = value if type(value) is Fraction else Fraction(value)
         if frac.denominator == 1:
             return int(frac)
         return f"{frac.numerator}/{frac.denominator}"

@@ -1,9 +1,11 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from delaymatch.certify import (
+    _Replay,
     certify,
     certify_events,
     marked_path_check,
@@ -21,6 +23,7 @@ from delaymatch.engine import (
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.offline import opt_brute
+from delaymatch.scalars import EXACT
 
 LINE = {"kind": "line"}
 
@@ -217,3 +220,52 @@ def test_certifier_covers_all_generator_families():
         res = run(inst)
         cert = certify(inst, res)
         assert cert.ok, cert.to_json()
+
+
+class _FullSweepReplay(_Replay):
+    """The replay with every feasibility check made by the full sweep."""
+
+    def _changed_pairs_feasible(self, grown):
+        return False
+
+
+def _tampered_traces(events, bump):
+    """Every single-edit variant of ``events`` in the differential corpus."""
+    for i in range(len(events)):
+        yield events[:i] + events[i + 1 :]
+    for i in range(len(events) - 1):
+        yield events[:i] + [events[i + 1], events[i]] + events[i + 2 :]
+    for i, ev in enumerate(events):
+        if ev.kind == GROW:
+            yield _tamper(events, i, t=ev.t + bump, to=ev.payload["to"] + bump)
+            yield _tamper(events, i, **{"from": ev.payload["from"] - bump})
+            sid = ev.payload["set"]
+            yield _tamper(events, i, set=sid - 1 if sid else 1)
+        elif ev.kind == TIGHT:
+            yield _tamper(events, i, u=ev.payload["v"], v=ev.payload["u"])
+
+
+def test_incremental_feasibility_matches_full_sweep(monkeypatch):
+    """The replay's incremental feasibility check returns the same verdict
+    (property, detail, witness, event index) as a full sweep after every
+    growth event and at every settled instant, on clean and tampered
+    traces."""
+    cases = [gen_tightness_instance(6), gen_ring_instance(8)]
+    for kind in ("line", "matrix", "ring", "euclidean"):
+        for variant in (MPMD, MBPMD):
+            for seed in range(4):
+                cases.append(gen_random_instance(seed=seed, m=6, variant=variant, metric_kind=kind))
+    traces = []
+    for inst in cases:
+        events = list(run(inst).event_log)
+        bump = Fraction(1, 100) if inst.mode == EXACT else 0.01
+        traces.append((inst, events))
+        traces.extend((inst, tampered) for tampered in _tampered_traces(events, bump))
+    incremental = [certify_events(inst, events).to_json() for inst, events in traces]
+    # The package's ``certify`` function shadows the module's attribute name.
+    monkeypatch.setattr(importlib.import_module("delaymatch.certify"), "_Replay", _FullSweepReplay)
+    full = [certify_events(inst, events).to_json() for inst, events in traces]
+    assert incremental == full
+    props = [v.get("property") for v in full]
+    assert props.count("dual-feasibility") > 0
+    assert sum(1 for v in full if not v["ok"]) > len(full) // 2
