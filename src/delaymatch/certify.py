@@ -20,6 +20,12 @@ The first failed check wins: certification returns a ViolationReport naming
 the property, a witness, and the index of the offending event.  Clean replays
 return a DualCertificate with the re-derived totals and per-pair slacks.
 
+``_Replay.feed`` drives the replay: ``certify`` feeds it a whole trace, the
+engine's self-check its growing log after every step.  An instant settles
+when the clock leaves it, the run ends or the self-check closes a step, but
+only if an event was applied since the last settle, so each instant is
+checked once.  Pair budgets come from ``Instance.budgets``, not the engine.
+
 Dual feasibility is re-checked after every single growth event, not only at
 settled instants.  Growth is linear, so values between two checked endpoints
 stay between the endpoint values; checking each endpoint makes an inflated or
@@ -144,19 +150,17 @@ class _RSet:
         "y",
         "free",
         "active",
-        "created_at",
         "growth_end",
     )
 
-    def __init__(self, set_id, members, sur, created_at, zero):
+    def __init__(self, set_id, members, sur, clock, zero):
         self.set_id = set_id
         self.members = members
         self.sur = sur
         self.y = zero
         self.free = set(members)
         self.active = True
-        self.created_at = created_at
-        self.growth_end = created_at
+        self.growth_end = clock
 
 
 class _Replay:
@@ -176,12 +180,9 @@ class _Replay:
         self.matched = [False] * n
         self.pending_tight = None
         self.index = -1
-        self.pairs = []  # (u, v, cost) over all eligible pairs
-        for u in range(n):
-            for v in range(u + 1, n):
-                c = edge_cost(inst, u, v)
-                if c is not None:
-                    self.pairs.append((u, v, c))
+        self.applied = 0  # events applied so far: the cursor of ``feed``
+        self.settled = 0  # ``applied`` at the last settle
+        self.pairs = inst.budgets  # (u, v, cost) over all eligible pairs
         self.cost = {(u, v): c for u, v, c in self.pairs}
         self.incident = [[] for _ in range(n)]  # u -> [(w, cost)] over u's eligible pairs
         for u, v, c in self.pairs:
@@ -211,20 +212,19 @@ class _Replay:
 
     # -- event admission ----------------------------------------------------
 
-    def apply(self, index, ev):
-        self.index = index
-        handler = {
-            ARRIVAL: self._ev_arrival,
-            GROW: self._ev_grow,
-            TIGHT: self._ev_tight,
-            MERGE: self._ev_merge,
-            MATCH: self._ev_match,
-        }.get(ev.kind)
-        if handler is None:
-            self._fail("trace-shape", f"unknown event kind {ev.kind!r}", kind=ev.kind)
-        if ev.kind not in (MERGE,) and self.pending_tight is not None:
-            self._fail("trace-shape", "tight event not followed by its merge")
-        handler(ev)
+    def feed(self, events):
+        """Apply the events of the log ``events`` past the ones already
+        applied; the log may have grown since the previous call."""
+        for i in range(self.applied, len(events)):
+            self.index = i
+            ev = events[i]
+            handler = self._HANDLERS.get(ev.kind)
+            if handler is None:
+                self._fail("trace-shape", f"unknown event kind {ev.kind!r}", kind=ev.kind)
+            if ev.kind != MERGE and self.pending_tight is not None:
+                self._fail("trace-shape", "tight event not followed by its merge")
+            handler(self, ev)
+            self.applied = i + 1
 
     def _move_clock(self, t):
         if t < self.clock:
@@ -380,9 +380,16 @@ class _Replay:
         self.matched[u] = self.matched[v] = True
         self.matching.append((min(u, v), max(u, v), self.clock))
 
+    _HANDLERS = {ARRIVAL: _ev_arrival, GROW: _ev_grow, TIGHT: _ev_tight, MERGE: _ev_merge, MATCH: _ev_match}
+
     # -- settled-instant checks ----------------------------------------------
 
     def _settle(self):
+        """Check the settled instant, unless no event was applied since the
+        last settle: the state is then the one that passed."""
+        if self.settled == self.applied:
+            return
+        self.settled = self.applied
         self._check_partition()
         self._check_surplus()
         self._check_potential()
@@ -481,6 +488,8 @@ class _Replay:
     # -- endgame ---------------------------------------------------------------
 
     def finish(self):
+        """Settle the last instant, run the endgame checks, and keep the
+        run's totals as ``connection``, ``waiting`` and ``dual``."""
         self.index = -1
         if self.pending_tight is not None:
             self._fail("trace-shape", "trace ends on a dangling tight event")
@@ -491,30 +500,19 @@ class _Replay:
         unmatched = [u for u in range(n) if not self.matched[u]]
         if unmatched:
             self._fail("matching-validity", "run ended with unmatched requests", unmatched=unmatched)
+        reqs, distance = self.inst.requests, self.inst.metric.distance
+        connection = waiting = dual = self.zero
+        for u, v, t in self.matching:
+            connection += distance(reqs[u].pos, reqs[v].pos)
+            waiting += (t - reqs[u].atime) + (t - reqs[v].atime)
+        for rec in self.sets:
+            dual += rec.sur * rec.y
+        self.connection, self.waiting, self.dual = connection, waiting, dual
         self._check_marked_forest()
         self._check_marked_tightness()
         self._check_waiting_equals_dual()
         self._check_paths()
         self._check_total_bound()
-
-    def connection_cost(self):
-        total = self.zero
-        inst = self.inst
-        for u, v, _ in self.matching:
-            total += inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
-        return total
-
-    def waiting_cost(self):
-        total = self.zero
-        for u, v, t in self.matching:
-            total += (t - self.inst.requests[u].atime) + (t - self.inst.requests[v].atime)
-        return total
-
-    def dual_objective(self):
-        total = self.zero
-        for rec in self.sets:
-            total += rec.sur * rec.y
-        return total
 
     def _check_marked_forest(self):
         parent = {}
@@ -561,8 +559,7 @@ class _Replay:
                 )
 
     def _check_waiting_equals_dual(self):
-        waiting = self.waiting_cost()
-        dual = self.dual_objective()
+        waiting, dual = self.waiting, self.dual
         if not eq(waiting, dual, self.mode):
             self._fail(
                 "waiting-equals-dual",
@@ -573,7 +570,7 @@ class _Replay:
             )
 
     def _check_paths(self):
-        dual = self.dual_objective()
+        dual = self.dual
         for u, v, _ in self.matching:
             check = marked_path(self.inst, self.marked, self.sets, (u, v), self.mode)
             if check is None:
@@ -605,9 +602,8 @@ class _Replay:
                 )
 
     def _check_total_bound(self):
-        total = self.connection_cost() + self.waiting_cost()
-        dual = self.dual_objective()
-        bound = (GUARANTEE_SLOPE * self.inst.m + 1) * dual
+        total = self.connection + self.waiting
+        bound = (GUARANTEE_SLOPE * self.inst.m + 1) * self.dual
         if not leq(total, bound, self.mode):
             self._fail(
                 "total-bound",
@@ -681,22 +677,19 @@ def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
 def _certify(inst: Instance, events, result=None):
     replay = _Replay(inst)
     try:
-        for i, ev in enumerate(events):
-            replay.apply(i, ev)
+        replay.feed(events)
         replay.finish()
         if result is not None:
             _cross_check(replay, result)
     except _Violation as exc:
         return exc.report
-    connection = replay.connection_cost()
-    waiting = replay.waiting_cost()
     return DualCertificate(
         mode=inst.mode,
         m=inst.m,
-        connection_cost=connection,
-        waiting_cost=waiting,
-        total_cost=connection + waiting,
-        dual_objective=replay.dual_objective(),
+        connection_cost=replay.connection,
+        waiting_cost=replay.waiting,
+        total_cost=replay.connection + replay.waiting,
+        dual_objective=replay.dual,
         num_events=len(events),
         num_sets=len(replay.sets),
         num_marked_edges=len(replay.marked),
@@ -715,42 +708,42 @@ def certify(inst: Instance, result: RunResult) -> DualCertificate | ViolationRep
 
 
 def _cross_check(replay: _Replay, result: RunResult):
-    """The run's reported aggregates must equal the replayed ones."""
+    """The run's reported aggregates must equal the replayed ones.  Runs
+    after ``replay.finish()``, so a breach carries event index -1."""
     checks = [
-        ("connection_cost", replay.connection_cost(), result.connection_cost),
-        ("waiting_cost", replay.waiting_cost(), result.waiting_cost),
-        ("dual_objective", replay.dual_objective(), result.dual_objective),
-        ("total_cost", replay.connection_cost() + replay.waiting_cost(), result.total_cost),
+        ("connection_cost", replay.connection, result.connection_cost),
+        ("waiting_cost", replay.waiting, result.waiting_cost),
+        ("dual_objective", replay.dual, result.dual_objective),
+        ("total_cost", replay.connection + replay.waiting, result.total_cost),
     ]
+    fail, mode = replay._fail, replay.mode
     for name, derived, reported in checks:
-        if not eq(derived, reported, replay.mode):
-            raise _Violation(
+        if not eq(derived, reported, mode):
+            fail(
                 "summary-consistency",
-                f"reported {name} {dump_scalar(reported, replay.mode)} differs from replayed "
-                f"{dump_scalar(derived, replay.mode)}",
-                replay._dump_witness({"field": name, "reported": reported, "derived": derived}),
-                -1,
+                f"reported {name} {dump_scalar(reported, mode)} differs from replayed {dump_scalar(derived, mode)}",
+                field=name,
+                reported=reported,
+                derived=derived,
             )
     if tuple(replay.matching) != tuple(result.matching):
-        raise _Violation(
+        fail(
             "summary-consistency",
             "reported matching differs from the replayed one",
-            {"reported": [[u, v] for u, v, _ in result.matching]},
-            -1,
+            reported=[[u, v] for u, v, _ in result.matching],
         )
     if [(u, v) for u, v, _ in replay.marked] != [(u, v) for u, v, _ in result.marked_edges]:
-        raise _Violation(
+        fail(
             "summary-consistency",
             "reported marked edges differ from the replayed ones",
-            {"reported": [[u, v] for u, v, _ in result.marked_edges]},
-            -1,
+            reported=[[u, v] for u, v, _ in result.marked_edges],
         )
     if len(replay.sets) != result.num_sets:
-        raise _Violation(
+        fail(
             "summary-consistency",
             f"reported {result.num_sets} sets, replay created {len(replay.sets)}",
-            {"reported": result.num_sets, "derived": len(replay.sets)},
-            -1,
+            reported=result.num_sets,
+            derived=len(replay.sets),
         )
 
 

@@ -90,22 +90,24 @@ def _load_instance(path: str, mode_flag):
 # -- gen -----------------------------------------------------------------
 
 
+# Generator families for `gen` and `bench --gen`: each builds its instance
+# from ``get(key[, default])``, which reads a parsed option or a spec key.
+_GENERATORS = {
+    "tightness": lambda get: gen_tightness_instance(int(get("m")), variant=get("variant", MPMD)),
+    "ring": lambda get: gen_ring_instance(int(get("m"))),
+    "random": lambda get: gen_random_instance(
+        seed=int(get("seed")),
+        m=int(get("m")),
+        variant=get("variant", MPMD),
+        metric_kind=get("metric", "line"),
+    ),
+}
+
+
 def _cmd_gen(args) -> int:
-    inst = _build_generated(args.family, args)
+    inst = _GENERATORS[args.family](lambda key, *default: getattr(args, key))
     _write_text(args.output, instance_json(inst))
     return 0
-
-
-def _build_generated(family, args):
-    if family == "tightness":
-        return gen_tightness_instance(args.m, variant=args.variant)
-    if family == "ring":
-        return gen_ring_instance(args.m)
-    if family == "random":
-        return gen_random_instance(
-            seed=args.seed, m=args.m, variant=args.variant, metric_kind=args.metric
-        )
-    raise CliError(f"unknown generator family {family!r}")
 
 
 # -- run -----------------------------------------------------------------
@@ -227,26 +229,13 @@ def _parse_gen_spec(spec: str):
             if not sep:
                 raise CliError(f"bad generator spec {spec!r}: expected key=value, got {part!r}")
             kwargs[key] = value
+    build = _GENERATORS.get(family)
+    if build is None:
+        raise CliError(f"unknown generator family {family!r} in {spec!r}")
     try:
-        if family == "tightness":
-            return gen_tightness_instance(
-                int(kwargs.pop("m")), variant=kwargs.pop("variant", MPMD)
-            ), kwargs
-        if family == "ring":
-            return gen_ring_instance(int(kwargs.pop("m"))), kwargs
-        if family == "random":
-            return (
-                gen_random_instance(
-                    seed=int(kwargs.pop("seed")),
-                    m=int(kwargs.pop("m")),
-                    variant=kwargs.pop("variant", MPMD),
-                    metric_kind=kwargs.pop("metric", "line"),
-                ),
-                kwargs,
-            )
+        return build(lambda key, *default: kwargs.pop(key, *default)), kwargs
     except KeyError as exc:
         raise CliError(f"generator spec {spec!r} is missing {exc}") from None
-    raise CliError(f"unknown generator family {family!r} in {spec!r}")
 
 
 def _bench_one(rec_id, inst, args):

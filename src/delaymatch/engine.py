@@ -18,17 +18,18 @@ returned by ``next_event``, ``advance_to`` and ``constraint_value``.  Every
 comparison is exact.  Float mode runs the same code on binary64 values; its
 tightness test follows the relative tolerance rule of ``scalars``.
 
-A run is single-threaded and deterministic: simultaneous arrivals are
-processed in index order before any tightness processing at the same instant,
-and simultaneously tight pairs merge in lexicographic order.  ``live_pairs``
-holds only eligible pairs whose endpoints sit in different active sets; sets
-only merge, so a pair that becomes internal is dropped for good.
+A run is single-threaded and deterministic: ``step`` admits every arrival of
+an instant in index order, then scans once for tight pairs, which merge in
+lexicographic order.  ``live_pairs`` holds only eligible pairs whose
+endpoints sit in different active sets; sets only merge, so a pair that
+becomes internal is dropped for good.  The event log is the one record of
+each set's growth intervals; ``SetRecord`` keeps only their sum ``y``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,12 +78,10 @@ class SetRecord:
     set_id: int
     members: frozenset
     sur: int
-    created_at: Scalar
     y: Scalar
     status: str
     free: set
     parent: int = None  # set_id this one merged into
-    grow_intervals: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,9 @@ class GreedyDualEngine:
     """Stepwise simulator; ``run`` drives it to completion.
 
     With ``self_check=True`` every step feeds its events to the certifier's
-    replay, which re-checks the run's invariants as they unfold, and the
-    engine's own caches are compared with the replayed state; the first
-    breach raises EngineInvariantError("<property>: <detail>").
+    replay, which checks the instant the step closed, and the engine's own
+    caches are compared with the replayed state; the first breach raises
+    EngineInvariantError("<property>: <detail>").
     """
 
     def __init__(self, inst: Instance, self_check: bool = False):
@@ -212,7 +211,6 @@ class GreedyDualEngine:
             from .certify import _Replay  # certify imports this module
 
             self._replay = _Replay(inst)
-            self._checked = 0  # events fed to the replay so far
 
     # -- scaled values ----------------------------------------------------
 
@@ -302,17 +300,10 @@ class GreedyDualEngine:
             if rec.status != GROWING:
                 continue
             rec.y += delta
-            rec.grow_intervals.append((self.clock, t))
             for u in rec.members:
                 pot[u] += delta_in
             self._log(t, GROW, {"set": sid, "from": self.clock, "to": t})
         self.clock, self._clock = t, t_in
-
-    def on_arrival(self, u: int) -> None:
-        """Admit request ``u`` (the clock must sit at its arrival time) and
-        immediately consume any constraints its arrival made tight."""
-        self._admit(u)
-        self.process_tight()
 
     def _admit(self, u: int) -> None:
         req = self.inst.requests[u]
@@ -326,7 +317,6 @@ class GreedyDualEngine:
             set_id=sid,
             members=frozenset({u}),
             sur=1,
-            created_at=self.clock,
             y=self._zero,
             status=GROWING,
             free={u},
@@ -382,7 +372,6 @@ class GreedyDualEngine:
             set_id=sid,
             members=members,
             sur=surplus(self.inst, members),
-            created_at=self.clock,
             y=self._zero,
             status=GROWING,
             free=a.free | b.free,
@@ -518,17 +507,16 @@ class GreedyDualEngine:
     # -- self-check (debug mode) --------------------------------------------
 
     def _self_check(self, result: RunResult = None) -> None:
-        """Feed the events logged since the last check to the certifier's
-        replay and settle it, or, given the finished ``result``, run the
-        replay's endgame and summary checks.  Then compare the engine caches
-        a replay cannot see.  The first breach raises EngineInvariantError."""
+        """Feed the event log to the certifier's replay, which applies the
+        events it has not seen, and settle the instant the step closed, or,
+        given the finished ``result``, run the replay's endgame and summary
+        checks.  Then compare the engine caches a replay cannot see.  The
+        first breach raises EngineInvariantError."""
         from .certify import _cross_check, _Violation
 
         replay = self._replay
         try:
-            for i in range(self._checked, len(self.events)):
-                replay.apply(i, self.events[i])
-            self._checked = len(self.events)
+            replay.feed(self.events)
             if result is None:
                 replay._settle()
             else:

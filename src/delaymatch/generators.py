@@ -76,28 +76,20 @@ def gen_ring_instance(m: int, covered_half: str = "cw") -> Instance:
     return make_instance(MPMD, metric, requests, mode=EXACT)
 
 
-def gen_random_instance(
-    seed: int,
-    m: int,
-    variant: str = MPMD,
-    metric_kind: str = "line",
-    time_horizon: int = 10,
-    spread: int = 10,
-) -> Instance:
+def gen_random_instance(seed: int, m: int, variant: str = MPMD, metric_kind: str = "line") -> Instance:
     """Seed-deterministic random instance with sorted arrivals and, for the
     bipartite variant, balanced polarities.
 
-    Exact metrics draw times and positions from the grid of eighths so the
-    rationals stay small; the euclidean kind switches the instance to float
-    mode.
+    Arrival times lie in [0, 10] and positions span 10 units.  Exact metrics
+    draw both from the grid of eighths so the rationals stay small; the
+    euclidean kind switches the instance to float mode.
     """
     if m < 1:
         raise InstanceError(f"m must be >= 1, got {m}")
-    if time_horizon <= 0 or spread <= 0:
-        raise InstanceError("time_horizon and spread must be positive")
     rng = random.Random(seed)
     n = 2 * m
     grid = 8
+    time_horizon = spread = 10
 
     if metric_kind == "euclidean":
         mode = FLOAT

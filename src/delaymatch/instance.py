@@ -3,13 +3,16 @@
 An instance is a metric, a numeric mode and an even-length list of requests
 in nondecreasing arrival order.  The bipartite variant ("mbpmd") carries
 balanced +1/-1 polarities; the plain variant ("mpmd") has polarity 0
-everywhere.  Instances are immutable after construction.
+everywhere.  Instances are immutable after construction.  ``budgets``, the
+table of every eligible pair's budget, is built on first use and shared by
+the certifier and the offline solvers; the engine keeps its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .metric import (
@@ -61,12 +64,17 @@ class Instance:
             return False
         return self.requests[u].sgn == -self.requests[v].sgn
 
-    def eligible_pairs(self):
-        """All eligible index pairs (u, v) with u < v."""
-        n = len(self.requests)
-        return [
-            (u, v) for u in range(n) for v in range(u + 1, n) if self.eligible(u, v)
-        ]
+    @cached_property
+    def budgets(self) -> tuple:
+        """``(u, v, budget)`` for every eligible pair u < v, in lexicographic
+        order, with the budget of ``edge_cost``; built once per instance."""
+        reqs, dist = self.requests, self.metric.distance
+        return tuple(
+            (u, v, dist(ru.pos, rv.pos) + abs(ru.atime - rv.atime))
+            for u, ru in enumerate(reqs)
+            for v, rv in enumerate(reqs[u + 1 :], u + 1)
+            if ru.sgn == -rv.sgn
+        )
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:

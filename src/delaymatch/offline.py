@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import MBPMD, Instance, edge_cost
+from .instance import MBPMD, Instance
 from .scalars import Scalar
 
 BRUTE_LIMIT = 12
@@ -51,12 +51,7 @@ def opt_brute(inst: Instance) -> OptSolution:
     if n == 0:
         return OptSolution(pairs=(), value=0, method="brute")
 
-    costs = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = edge_cost(inst, u, v)
-            if c is not None:
-                costs[(u, v)] = c
+    costs = {(u, v): c for u, v, c in inst.budgets}
 
     best_pairs = None
     best_value = None
@@ -98,7 +93,8 @@ def opt_hungarian(inst: Instance) -> OptSolution:
     neg = [r.index for r in inst.requests if r.sgn == -1]
     if not pos:
         return OptSolution(pairs=(), value=0, method="hungarian")
-    matrix = [[edge_cost(inst, p, q) for q in neg] for p in pos]
+    cost = {(u, v): c for u, v, c in inst.budgets}
+    matrix = [[cost[min(p, q), max(p, q)] for q in neg] for p in pos]
     assignment, value = _solve_assignment(matrix)
     pairs = sorted(
         (min(pos[i], neg[j]), max(pos[i], neg[j])) for i, j in assignment

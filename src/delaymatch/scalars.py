@@ -4,8 +4,8 @@ Instances run either in exact mode (all quantities are ``fractions.Fraction``,
 every comparison is exact) or in float mode (binary64).  Float mode has one
 tolerance rule, relative so that it means the same at any coordinate scale:
 ``a`` and ``b`` count as equal when ``|a - b| <= EPS_TIGHT * max(1, |a|, |b|)``.
-``leq``, ``eq`` and ``is_tight`` apply it; the engine's tight-pair scan
-inlines it.  Values are immutable and safe to share between threads.
+``leq`` and ``eq`` apply it; the engine's tight-pair scan inlines it.  Values
+are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -81,9 +81,3 @@ def eq(a: Scalar, b: Scalar, mode: str) -> bool:
     if mode == EXACT:
         return a == b
     return abs(a - b) <= EPS_TIGHT * max(1.0, abs(a), abs(b))
-
-
-def is_tight(value: Scalar, budget: Scalar, mode: str) -> bool:
-    """Whether a dual constraint with the given accumulated value is tight:
-    ``value >= budget`` up to the mode's tolerance."""
-    return leq(budget, value, mode)

@@ -107,7 +107,11 @@ def test_grow_intervals_partition_each_sets_lifetime():
     inst = gen_random_instance(seed=3, m=4, variant=MPMD, metric_kind="line")
     res = run(inst, self_check=True)
     for rec in res.all_sets:
-        intervals = list(rec.grow_intervals)
+        intervals = [
+            (ev.payload["from"], ev.payload["to"])
+            for ev in res.event_log
+            if ev.kind == GROW and ev.payload["set"] == rec.set_id
+        ]
         total = sum((b - a for a, b in intervals), Fraction(0))
         assert total == rec.y
         for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
@@ -166,7 +170,7 @@ def test_arrivals_must_be_admitted_in_order_at_their_times():
     inst = line_instance([(0, 0, 0), (4, 1, 0)])
     eng = GreedyDualEngine(inst)
     with pytest.raises(EngineInvariantError):
-        eng.on_arrival(1)
+        eng._admit(1)
 
 
 def test_run_is_deterministic_in_process():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import (
     MBPMD,
     MPMD,
@@ -156,4 +157,27 @@ def test_euclidean_defaults_to_float_mode():
 def test_m_counts_pairs():
     inst = line_instance([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
     assert inst.m == 2
-    assert len(list(inst.eligible_pairs())) == 6
+    assert len(inst.budgets) == 6
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_tightness_instance(6),
+        gen_tightness_instance(6, variant=MBPMD),
+        gen_ring_instance(8),
+        *(
+            gen_random_instance(seed=seed, m=6, variant=variant, metric_kind=kind)
+            for kind in ("line", "ring", "matrix", "euclidean")
+            for seed, variant in enumerate((MPMD, MBPMD))
+        ),
+    ],
+    ids=lambda inst: f"{inst.metric.kind}-{inst.variant}",
+)
+def test_budgets_table_is_edge_cost_over_eligible_pairs(inst):
+    n = len(inst.requests)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    expected = tuple((u, v, edge_cost(inst, u, v)) for u, v in pairs if edge_cost(inst, u, v) is not None)
+    assert inst.budgets == expected
+    assert all(inst.eligible(u, v) for u, v, _ in inst.budgets)
+    assert inst.budgets is inst.budgets  # built once per instance

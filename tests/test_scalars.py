@@ -9,7 +9,6 @@ from delaymatch.scalars import (
     ScalarError,
     dump_scalar,
     eq,
-    is_tight,
     leq,
     parse_scalar,
 )
@@ -63,13 +62,14 @@ def test_dump_parse_round_trip_exact():
 
 
 def test_tightness_is_exact_in_exact_mode():
-    assert is_tight(Fraction(3), Fraction(3), EXACT)
-    assert not is_tight(Fraction(3) - Fraction(1, 10**12), Fraction(3), EXACT)
+    # A constraint is tight when its value reaches the budget: leq(budget, value).
+    assert leq(Fraction(3), Fraction(3), EXACT)
+    assert not leq(Fraction(3), Fraction(3) - Fraction(1, 10**12), EXACT)
 
 
 def test_tightness_tolerates_eps_in_float_mode():
-    assert is_tight(3.0 - EPS_TIGHT / 2, 3.0, FLOAT)
-    assert not is_tight(3.0 - 10 * EPS_TIGHT, 3.0, FLOAT)
+    assert leq(3.0, 3.0 - EPS_TIGHT / 2, FLOAT)
+    assert not leq(3.0, 3.0 - 10 * EPS_TIGHT, FLOAT)
 
 
 def test_comparisons_follow_mode():
@@ -81,8 +81,8 @@ def test_comparisons_follow_mode():
 
 
 def test_float_tolerance_is_relative_above_magnitude_one():
-    assert is_tight(1e12 - 100.0, 1e12, FLOAT)
-    assert not is_tight(1e12 - 1e4, 1e12, FLOAT)
+    assert leq(1e12, 1e12 - 100.0, FLOAT)
+    assert not leq(1e12, 1e12 - 1e4, FLOAT)
     assert eq(1e12 + 100.0, 1e12, FLOAT)
     assert not eq(1e-3 + 1e-8, 1e-3, FLOAT)  # absolute below magnitude 1
     assert leq(1e12 + 100.0, 1e12, FLOAT)

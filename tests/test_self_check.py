@@ -6,6 +6,7 @@ moving backwards) do not count as a catch."""
 
 import pytest
 
+from delaymatch.certify import _Replay, certify
 from delaymatch.engine import GROW, MATCH, MERGE, EngineInvariantError, GreedyDualEngine
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD
@@ -130,3 +131,26 @@ def test_self_check_catches_injected_bug(bug):
         else:
             missed.append((i, "ran to completion"))
     assert not missed, missed
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [gen_tightness_instance(6), gen_random_instance(seed=1, m=20, metric_kind="line")],
+    ids=["tightness-6", "line-20"],
+)
+def test_each_instant_settles_once(inst, monkeypatch):
+    """The replay checks each settled instant once, whether the self-check
+    feeds it step by step or ``certify`` replays the finished trace."""
+    check_partition, calls = _Replay._check_partition, []
+
+    def counted(replay):
+        calls.append(replay.clock)
+        check_partition(replay)
+
+    monkeypatch.setattr(_Replay, "_check_partition", counted)
+    res = GreedyDualEngine(inst, self_check=True).run()
+    instants = sorted({ev.t for ev in res.event_log})
+    assert calls == instants
+    calls.clear()
+    assert certify(inst, res).ok
+    assert calls == instants
