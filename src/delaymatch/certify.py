@@ -26,6 +26,19 @@ when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
 checked once.  Pair budgets come from ``Instance.budgets``, not the engine.
 
+In exact mode the replay computes on Python ints over its own scale ``S``: an
+int ``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
+pair values, pair costs and each set's ``y`` and growth end are scaled.  ``S``
+starts as the lcm of the denominators of the arrival times and the budgets.
+When an event time or a growth endpoint with denominator ``den`` falls off
+the grid, ``S`` grows by ``k = den // gcd(S, den)`` and every scaled int is
+multiplied by ``k``.  This code is the replay's own; it shares none with the
+engine's scaled arithmetic, so one bug cannot fool both.  Fractions are built
+only for witnesses and messages, the totals and ``edge_slacks``.  Float mode
+runs the same code on the floats themselves, with no scale.  A feasibility
+test is ``value <= cost``; only a value above its cost consults the tolerance
+rule of ``scalars.leq``, which admits every value ``<=`` already admits.
+
 Dual feasibility is re-checked after every single growth event, not only at
 settled instants.  Growth is linear, so values between two checked endpoints
 stay between the endpoint values; checking each endpoint makes an inflated or
@@ -52,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
 from .instance import Instance, edge_cost, surplus
@@ -142,6 +156,12 @@ class _Violation(Exception):
         self.report = ViolationReport(prop, detail, witness, event_index)
 
 
+def _rational(x):
+    """An exact value with ``numerator`` and ``denominator``: ints and
+    Fractions as they are, floats as the Fraction they hold."""
+    return Fraction(x) if isinstance(x, float) else x
+
+
 class _RSet:
     __slots__ = (
         "set_id",
@@ -167,9 +187,25 @@ class _Replay:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.mode = inst.mode
+        self.exact = self.mode == EXACT
         n = len(inst.requests)
-        self.zero = Fraction(0) if self.mode == EXACT else 0.0
-        self.clock = self.zero
+        budgets = inst.budgets  # (u, v, cost) over all eligible pairs
+        atimes = [r.atime for r in inst.requests]
+        costs = [c for _, _, c in budgets]
+        if self.exact:
+            atimes = [_rational(t) for t in atimes]
+            costs = [_rational(c) for c in costs]
+            self.scale = lcm(*{t.denominator for t in atimes}, *{c.denominator for c in costs})
+            atimes = [t.numerator * (self.scale // t.denominator) for t in atimes]
+            costs = [c.numerator * (self.scale // c.denominator) for c in costs]
+            self.zero = 0
+        else:
+            self.scale, self.zero = None, 0.0
+        # Scaled: the clock, the arrival times, the potentials, the frozen
+        # pair values, the costs, and each set's ``y`` and ``growth_end``.
+        self._clock = self.zero
+        self.clock = self.external(self.zero)  # the time of the last clock move, as the trace gave it
+        self.atime = atimes
         self.next_arrival = 0
         self.potential = [self.zero] * n
         self.assign = [None] * n
@@ -182,13 +218,42 @@ class _Replay:
         self.index = -1
         self.applied = 0  # events applied so far: the cursor of ``feed``
         self.settled = 0  # ``applied`` at the last settle
-        self.pairs = inst.budgets  # (u, v, cost) over all eligible pairs
-        self.cost = {(u, v): c for u, v, c in self.pairs}
+        self.cost = {(u, v): c for (u, v, _), c in zip(budgets, costs)}
         self.incident = [[] for _ in range(n)]  # u -> [(w, cost)] over u's eligible pairs
-        for u, v, c in self.pairs:
+        for (u, v), c in self.cost.items():
             self.incident[u].append((v, c))
             self.incident[v].append((u, c))
         self.fresh = []  # requests arrived since the last feasibility check
+
+    # -- scaled values ---------------------------------------------------------
+
+    def scaled(self, t):
+        """The scaled value of time ``t``, growing the scale first if ``t``
+        is off it."""
+        if not self.exact:
+            return t
+        t = _rational(t)
+        den = t.denominator
+        if self.scale % den:
+            self._rescale(den // gcd(self.scale, den))
+        return t.numerator * (self.scale // den)
+
+    def external(self, x):
+        """The value a scaled ``x`` stands for."""
+        return Fraction(x, self.scale) if self.exact else x
+
+    def _rescale(self, k):
+        """Multiply the scale, and every scaled value with it, by ``k``."""
+        self.scale *= k
+        self._clock *= k
+        self.atime = [t * k for t in self.atime]
+        self.potential = [p * k for p in self.potential]
+        self.frozen = {key: x * k for key, x in self.frozen.items()}
+        self.cost = {key: c * k for key, c in self.cost.items()}
+        self.incident = [[(w, c * k) for w, c in row] for row in self.incident]
+        for rec in self.sets:
+            rec.y *= k
+            rec.growth_end *= k
 
     # -- plumbing ----------------------------------------------------------
 
@@ -205,6 +270,7 @@ class _Replay:
         return out
 
     def pair_value(self, u, v):
+        """Scaled value charged against the (u, v) budget."""
         key = (u, v) if u < v else (v, u)
         if key in self.frozen:
             return self.frozen[key]
@@ -226,15 +292,16 @@ class _Replay:
             handler(self, ev)
             self.applied = i + 1
 
-    def _move_clock(self, t):
-        if t < self.clock:
+    def _move_clock(self, t, scaled):
+        """Move the clock to ``t``, whose scaled value is ``scaled``."""
+        if scaled < self._clock:
             self._fail("trace-shape", "clock moved backwards", at=t, clock=self.clock)
-        if t > self.clock:
+        if scaled > self._clock:
             self._settle()
-            self.clock = t
+            self.clock, self._clock = t, scaled
 
     def _require_settled(self, t, kind):
-        if t != self.clock:
+        if self.scaled(t) != self._clock:
             self._fail(
                 "trace-shape",
                 f"{kind} event at {dump_scalar(t, self.mode)} but clock is "
@@ -250,13 +317,14 @@ class _Replay:
             self._fail("trace-shape", "arrival of unknown request", u=u)
         if u != self.next_arrival:
             self._fail("trace-shape", f"arrival out of order: expected {self.next_arrival}, got {u}", u=u)
-        req = self.inst.requests[u]
-        if ev.t != req.atime:
+        t = self.scaled(ev.t)
+        if t != self.atime[u]:
+            req = self.inst.requests[u]
             self._fail("trace-shape", f"request {u} arrived at the wrong time", u=u, at=ev.t, atime=req.atime)
-        self._move_clock(ev.t)
+        self._move_clock(ev.t, t)
         self.next_arrival += 1
         sid = len(self.sets)
-        self.sets.append(_RSet(sid, frozenset({u}), 1, self.clock, self.zero))
+        self.sets.append(_RSet(sid, frozenset({u}), 1, self._clock, self.zero))
         self.assign[u] = sid
         self.fresh.append(u)
 
@@ -269,27 +337,32 @@ class _Replay:
         rec = self.sets[sid]
         if start is None or end is None:
             self._fail("trace-shape", "growth interval missing an endpoint", set=sid)
-        if end != ev.t:
+        scale = self.scale
+        t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
+        if self.scale != scale:  # the scale grew under the first ones
+            t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
+        if b != t:
             self._fail("trace-shape", "growth interval must end at the event time", set=sid, to=end, at=ev.t)
-        if not start < end:
+        if not a < b:
             self._fail("trace-shape", "empty growth interval", set=sid)
         if not rec.active:
             self._fail("trace-shape", f"set {sid} grew after deactivation", set=sid)
         if not rec.free:
             self._fail("trace-shape", f"set {sid} grew with no free request", set=sid)
-        if start != rec.growth_end:
+        if a != rec.growth_end:
             self._fail(
                 "trace-shape",
                 f"set {sid} growth starts at {dump_scalar(start, self.mode)}, "
-                f"expected {dump_scalar(rec.growth_end, self.mode)}",
+                f"expected {dump_scalar(self.external(rec.growth_end), self.mode)}",
                 set=sid,
             )
-        self._move_clock(ev.t)
-        delta = end - start
+        self._move_clock(ev.t, t)
+        delta = b - a
         rec.y += delta
-        rec.growth_end = end
+        rec.growth_end = b
+        potential = self.potential
         for u in rec.members:
-            self.potential[u] += delta
+            potential[u] += delta
         # Immediate feasibility check: a single inflated growth step must not
         # survive until the end of its batch.
         self._check_feasibility(rec.members, f"over budget after growth of set {sid}")
@@ -307,16 +380,17 @@ class _Replay:
             self._fail("trace-shape", f"tight pair ({u}, {v}) is not eligible", u=u, v=v)
         if self.assign[u] == self.assign[v]:
             self._fail("trace-shape", f"tight pair ({u}, {v}) lies inside one active set", u=u, v=v)
-        value = self.pair_value(u, v)
-        if not eq(value, self.cost[key], self.mode):
+        value, cost = self.pair_value(u, v), self.cost[key]
+        if not eq(value, cost, self.mode):
+            value, cost = self.external(value), self.external(cost)
             self._fail(
                 "marked-tightness",
                 f"pair ({u}, {v}) declared tight at value {dump_scalar(value, self.mode)}, "
-                f"budget {dump_scalar(self.cost[key], self.mode)}",
+                f"budget {dump_scalar(cost, self.mode)}",
                 u=u,
                 v=v,
                 value=value,
-                budget=self.cost[key],
+                budget=cost,
             )
         self.pending_tight = key
 
@@ -341,13 +415,14 @@ class _Replay:
                 b=b,
             )
         members = ra.members | rb.members
-        rec = _RSet(sid, members, surplus(self.inst, members), self.clock, self.zero)
+        rec = _RSet(sid, members, surplus(self.inst, members), self._clock, self.zero)
         rec.free = ra.free | rb.free
+        cost, potential, frozen = self.cost, self.potential, self.frozen
         for x in ra.members:
             for w in rb.members:
                 k = (x, w) if x < w else (w, x)
-                if k in self.cost:
-                    self.frozen[k] = self.potential[x] + self.potential[w]
+                if k in cost:
+                    frozen[k] = potential[x] + potential[w]
         ra.active = rb.active = False
         self.sets.append(rec)
         for w in members:
@@ -426,23 +501,26 @@ class _Replay:
                 )
 
     def _check_potential(self):
+        clock, atime, potential, matched, mode = self._clock, self.atime, self.potential, self.matched, self.mode
         for u in range(self.next_arrival):
-            bound = self.clock - self.inst.requests[u].atime
-            value = self.potential[u]
-            if not leq(value, bound, self.mode):
+            bound = clock - atime[u]
+            value = potential[u]
+            if value <= bound and (matched[u] or value == bound):
+                continue
+            if not leq(value, bound, mode):
+                value, bound = self.external(value), self.external(bound)
                 self._fail(
                     "potential",
-                    f"request {u} accumulated {dump_scalar(value, self.mode)}, waited "
-                    f"{dump_scalar(bound, self.mode)}",
+                    f"request {u} accumulated {dump_scalar(value, mode)}, waited {dump_scalar(bound, mode)}",
                     u=u,
                     value=value,
                     waited=bound,
                 )
-            if not self.matched[u] and not eq(value, bound, self.mode):
+            if not matched[u] and not eq(value, bound, mode):
+                value, bound = self.external(value), self.external(bound)
                 self._fail(
                     "potential",
-                    f"free request {u} accumulated {dump_scalar(value, self.mode)}, "
-                    f"waited {dump_scalar(bound, self.mode)}",
+                    f"free request {u} accumulated {dump_scalar(value, mode)}, waited {dump_scalar(bound, mode)}",
                     u=u,
                     value=value,
                     waited=bound,
@@ -458,31 +536,38 @@ class _Replay:
     def _changed_pairs_feasible(self, grown):
         """Whether the pairs that can have changed since the last check are
         within budget: the cross pairs of ``grown`` and every pair of a
-        request arrived since then (the module docstring has the argument)."""
+        request arrived since then (the module docstring has the argument).
+        A value above its budget consults the tolerance rule of ``leq``."""
         assign, potential, mode = self.assign, self.potential, self.mode
         for u in grown:
             pu = potential[u]
             for w, c in self.incident[u]:
-                if w not in grown and assign[w] is not None and not leq(pu + potential[w], c, mode):
+                x = pu + potential[w]
+                if x > c and w not in grown and assign[w] is not None and not leq(x, c, mode):
                     return False
         for u in self.fresh:  # may already share a set, hence pair_value
             for w, c in self.incident[u]:
-                if assign[w] is not None and not leq(self.pair_value(u, w), c, mode):
-                    return False
+                if assign[w] is not None:
+                    x = self.pair_value(u, w)
+                    if x > c and not leq(x, c, mode):
+                        return False
         return True
 
     def _sweep_feasibility(self, breach):
-        for u, v, c in self.pairs:
-            if self.assign[u] is None or self.assign[v] is None:
+        assign, potential, frozen = self.assign, self.potential, self.frozen
+        for key, c in self.cost.items():
+            u, v = key
+            if assign[u] is None or assign[v] is None:
                 continue
-            if not leq(self.pair_value(u, v), c, self.mode):
+            x = frozen[key] if key in frozen else potential[u] + potential[v]
+            if x > c and not leq(x, c, self.mode):
                 self._fail(
                     "dual-feasibility",
                     f"pair ({u}, {v}) {breach}",
                     u=u,
                     v=v,
-                    value=self.pair_value(u, v),
-                    budget=c,
+                    value=self.external(x),
+                    budget=self.external(c),
                 )
 
     # -- endgame ---------------------------------------------------------------
@@ -501,13 +586,14 @@ class _Replay:
         if unmatched:
             self._fail("matching-validity", "run ended with unmatched requests", unmatched=unmatched)
         reqs, distance = self.inst.requests, self.inst.metric.distance
-        connection = waiting = dual = self.zero
+        connection = waiting = self.external(self.zero)
         for u, v, t in self.matching:
             connection += distance(reqs[u].pos, reqs[v].pos)
             waiting += (t - reqs[u].atime) + (t - reqs[v].atime)
+        dual = self.zero
         for rec in self.sets:
             dual += rec.sur * rec.y
-        self.connection, self.waiting, self.dual = connection, waiting, dual
+        self.connection, self.waiting, self.dual = connection, waiting, self.external(dual)
         self._check_marked_forest()
         self._check_marked_tightness()
         self._check_waiting_equals_dual()
@@ -547,15 +633,15 @@ class _Replay:
     def _check_marked_tightness(self):
         for u, v, _ in self.marked:
             key = (u, v)
-            value = self.frozen.get(key)
-            if value is None or not eq(value, self.cost[key], self.mode):
+            value, cost = self.frozen.get(key), self.cost[key]
+            if value is None or not eq(value, cost, self.mode):
                 self._fail(
                     "marked-tightness",
                     f"marked edge ({u}, {v}) is not tight",
                     u=u,
                     v=v,
-                    value=value,
-                    budget=self.cost[key],
+                    value=None if value is None else self.external(value),
+                    budget=self.external(cost),
                 )
 
     def _check_waiting_equals_dual(self):
@@ -614,10 +700,8 @@ class _Replay:
             )
 
     def edge_slacks(self):
-        out = []
-        for u, v, c in self.pairs:
-            out.append((u, v, c - self.pair_value(u, v)))
-        return tuple(out)
+        external, pair_value = self.external, self.pair_value
+        return tuple((u, v, external(c - pair_value(u, v))) for (u, v), c in self.cost.items())
 
 
 def marked_path(inst, marked, sets, pair, mode):

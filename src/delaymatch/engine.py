@@ -57,6 +57,12 @@ def _rational(x):
     return Fraction(x) if isinstance(x, float) else x
 
 
+def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
+    """How many eligible pairs join the given numbers of requests of each
+    polarity."""
+    return positive * negative + neutral * (neutral - 1) // 2
+
+
 class EngineInvariantError(RuntimeError):
     """An internal invariant broke mid-run.  Signals a bug, not bad input."""
 
@@ -236,10 +242,6 @@ class GreedyDualEngine:
         self._atime = [t * k for t in self._atime]
         self._dist = [[d * k for d in row] for row in self._dist]
         self.live_pairs = [(u, v, c * k) for u, v, c in self.live_pairs]
-
-    def _budget(self, u: int, v: int) -> Scalar:
-        """Scaled budget dist(u, v) + |arrival gap| of an eligible pair."""
-        return self._dist[self._pid[u]][self._pid[v]] + abs(self._atime[u] - self._atime[v])
 
     # -- event location ---------------------------------------------------
 
@@ -524,15 +526,32 @@ class GreedyDualEngine:
                 _cross_check(replay, result)
         except _Violation as exc:
             raise EngineInvariantError(str(exc)) from None
-        arrived, assign = self.next_arrival, replay.assign
-        cross = [(u, v) for u, v, _ in replay.pairs if v < arrived and assign[u] != assign[v]]
-        if sorted((u, v) for u, v, _ in self.live_pairs) != cross:
-            raise EngineInvariantError("live-pairs: live pairs are not the eligible cross-set pairs")
-        for u, v, cost in self.live_pairs:
-            if cost != self._budget(u, v):
-                raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(cost)}")
+        arrived, assign, live = self.next_arrival, replay.assign, self.live_pairs
+        # The live pairs must be the eligible pairs u < v < arrived whose ends
+        # sit in different replayed sets, each listed once.  So every live
+        # pair must be one, with no repeats, and there must be as many as
+        # arrived eligible pairs minus those inside one replayed set; the
+        # counts come from the polarities in each set.
+        counts = {}  # replayed set -> [neutral, positive, negative] arrived members
         for u in range(arrived):
-            cached, replayed = self._external(self.potential[u]), replay.potential[u]
+            counts.setdefault(assign[u], [0, 0, 0])[self._sgn[u]] += 1
+        arrived_counts = [sum(c[i] for c in counts.values()) for i in range(3)]
+        cross = _eligible_pairs(*arrived_counts) - sum(_eligible_pairs(*c) for c in counts.values())
+        not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
+        if len(live) != cross or len({(u, v) for u, v, _ in live}) != len(live):
+            raise EngineInvariantError(not_cross)
+        eligible, dist, pid, atime = replay.cost, self._dist, self._pid, self._atime
+        wrong_budget = None  # reported only once every pair is a cross pair
+        for u, v, cost in live:
+            if not (u < v < arrived and (u, v) in eligible and assign[u] != assign[v]):
+                raise EngineInvariantError(not_cross)
+            if wrong_budget is None and cost != dist[pid[u]][pid[v]] + abs(atime[u] - atime[v]):
+                wrong_budget = (u, v, cost)
+        if wrong_budget is not None:
+            u, v, cost = wrong_budget
+            raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(cost)}")
+        for u in range(arrived):
+            cached, replayed = self._external(self.potential[u]), replay.external(replay.potential[u])
             if not eq(cached, replayed, self.mode):
                 raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
             if self._grows[u] != bool(replay.sets[assign[u]].free):

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -245,11 +247,10 @@ def _tampered_traces(events, bump):
             yield _tamper(events, i, u=ev.payload["v"], v=ev.payload["u"])
 
 
-def test_incremental_feasibility_matches_full_sweep(monkeypatch):
-    """The replay's incremental feasibility check returns the same verdict
-    (property, detail, witness, event index) as a full sweep after every
-    growth event and at every settled instant, on clean and tampered
-    traces."""
+@pytest.fixture(scope="module")
+def differential():
+    """The differential corpus: every clean trace and its single-edit
+    tampers, with the verdicts the replay gives them."""
     cases = [gen_tightness_instance(6), gen_ring_instance(8)]
     for kind in ("line", "matrix", "ring", "euclidean"):
         for variant in (MPMD, MBPMD):
@@ -261,7 +262,47 @@ def test_incremental_feasibility_matches_full_sweep(monkeypatch):
         bump = Fraction(1, 100) if inst.mode == EXACT else 0.01
         traces.append((inst, events))
         traces.extend((inst, tampered) for tampered in _tampered_traces(events, bump))
-    incremental = [certify_events(inst, events).to_json() for inst, events in traces]
+    return traces, [certify_events(inst, events).to_json() for inst, events in traces]
+
+
+def _digest(docs):
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def test_verdicts_match_the_pinned_rational_replay(differential):
+    """The verdicts on the differential corpus are the ones a replay in
+    ``Fraction`` arithmetic gave (pinned by digest)."""
+    traces, verdicts = differential
+    assert len(traces) == 10016
+    assert _digest(verdicts) == "d3ea5c54f211ace502c2d61069a52ebc05ec2adf9fb617e29c1f8877147e0454"
+
+
+def test_clean_certificates_match_the_pinned_rational_replay():
+    """Certificates of clean runs over every metric kind, both variants, a
+    long tightness schedule and a ring with large denominators are the ones
+    a replay in ``Fraction`` arithmetic gave (pinned by digest)."""
+    cases = []
+    for kind in ("line", "ring", "matrix"):
+        for variant in (MPMD, MBPMD):
+            for i, m in enumerate((20, 24, 28, 30)):
+                cases.append(gen_random_instance(seed=100 + i, m=m, variant=variant, metric_kind=kind))
+    small = ((5, "line", MPMD), (6, "line", MPMD), (6, "ring", MBPMD), (4, "matrix", MPMD))
+    for i, (m, kind, variant) in enumerate(small):
+        cases.append(gen_random_instance(seed=150 + i, m=m, variant=variant, metric_kind=kind))
+    for i, variant in enumerate((MPMD, MPMD, MBPMD, MBPMD)):
+        cases.append(gen_random_instance(seed=160 + i, m=20, variant=variant, metric_kind="euclidean"))
+    cases += [gen_tightness_instance(50), gen_ring_instance(32)]
+    docs = [certify(inst, run(inst)).to_json() for inst in cases]
+    assert all(doc["ok"] for doc in docs)
+    assert _digest(docs) == "25ff8cebbb153466c5919f6ac7fc600d7ab8fda0c4057194bfeaf8a45b0e52ef"
+
+
+def test_incremental_feasibility_matches_full_sweep(differential, monkeypatch):
+    """The replay's incremental feasibility check returns the same verdict
+    (property, detail, witness, event index) as a full sweep after every
+    growth event and at every settled instant, on clean and tampered
+    traces."""
+    traces, incremental = differential
     # The package's ``certify`` function shadows the module's attribute name.
     monkeypatch.setattr(importlib.import_module("delaymatch.certify"), "_Replay", _FullSweepReplay)
     full = [certify_events(inst, events).to_json() for inst, events in traces]

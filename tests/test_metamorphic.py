@@ -2,9 +2,11 @@
 ring circumference, matrix entries) and shifting every arrival by d >= 0 maps
 each event time t to c*t + d and leaves everything else alone.  The matching
 and the event sequence are unchanged, and total cost and dual objective scale
-by c (waiting is a difference of times, so d cancels).  In exact mode all of
-this holds exactly; in float mode the matching holds, the run certifies and
-the costs scale within 1e-6 relative, over a ladder of scales and shifts."""
+by c (waiting is a difference of times, so d cancels).  So do every pair's
+budget and charged value, hence the certificate's slacks, and the offline
+optimum.  In exact mode all of this holds exactly; in float mode the matching
+holds, the run certifies and the costs scale within 1e-6 relative, over a
+ladder of scales and shifts."""
 
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from delaymatch.engine import run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.metric import EuclideanMetric, LineMetric, MatrixMetric, RingMetric
+from delaymatch.offline import BRUTE_LIMIT, opt_brute, opt_hungarian
 from delaymatch.scalars import FLOAT
 
 FACTORS = (Fraction(1, 3), Fraction(7, 5), Fraction(1, 2**40), Fraction(10**6))
@@ -46,16 +49,33 @@ def _corpus():
 CORPUS = _corpus()
 
 
+def _opt(inst):
+    """The offline optimum where a solver applies, else None."""
+    if inst.variant == MBPMD:
+        return opt_hungarian(inst)
+    return opt_brute(inst) if len(inst.requests) <= BRUTE_LIMIT else None
+
+
+@pytest.fixture(scope="module")
+def bases():
+    """Run, certificate and optimum of each corpus instance."""
+    out = []
+    for inst in CORPUS:
+        res = run(inst)
+        out.append((res, certify(inst, res), _opt(inst)))
+    return out
+
+
 def _times(ev):
     return [ev.t] + [ev.payload[k] for k in ("from", "to") if k in ev.payload]
 
 
 @pytest.mark.parametrize("c", FACTORS, ids=str)
 @pytest.mark.parametrize("d", SHIFTS, ids=str)
-def test_scaling_and_shifting_map_every_event_time(c, d):
-    for inst in CORPUS:
-        base = run(inst)
-        moved = run(transform(inst, c, d))
+def test_scaling_and_shifting_map_every_event_time(c, d, bases):
+    for inst, (base, base_cert, base_opt) in zip(CORPUS, bases):
+        moved_inst = transform(inst, c, d)
+        moved = run(moved_inst)
         where = f"{inst.metric.kind}/{inst.variant}/m={inst.m}"
         assert [(u, v) for u, v, _ in moved.matching] == [(u, v) for u, v, _ in base.matching], where
         assert [ev.kind for ev in moved.event_log] == [ev.kind for ev in base.event_log], where
@@ -67,6 +87,14 @@ def test_scaling_and_shifting_map_every_event_time(c, d):
         assert [c * t + d for _, _, t in base.matching] == [t for _, _, t in moved.matching], where
         assert moved.total_cost == c * base.total_cost, where
         assert moved.dual_objective == c * base.dual_objective, where
+        cert = certify(moved_inst, moved)
+        assert cert.ok, (where, cert.to_json())
+        assert cert.dual_objective == c * base_cert.dual_objective, where
+        assert cert.edge_slacks == tuple((u, v, c * s) for u, v, s in base_cert.edge_slacks), where
+        if base_opt is not None:
+            moved_opt = _opt(moved_inst)
+            assert moved_opt.pairs == base_opt.pairs, where
+            assert moved_opt.value == c * base_opt.value, where
 
 
 FLOAT_BASES = [gen_random_instance(seed=seed, m=6, metric_kind="euclidean") for seed in range(20)]

@@ -1,9 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
-from delaymatch.instance import MBPMD, MPMD, make_instance
+from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import (
     BRUTE_LIMIT,
     BruteForceSizeError,
@@ -11,6 +13,7 @@ from delaymatch.offline import (
     opt_brute,
     opt_hungarian,
 )
+from delaymatch.scalars import EXACT, dump_scalar
 
 LINE = {"kind": "line"}
 
@@ -83,3 +86,27 @@ def test_hungarian_pairs_form_a_perfect_matching():
     assert sorted(seen) == list(range(12))
     for u, v in sol.pairs:
         assert inst.eligible(u, v)
+
+
+def test_solvers_agree_and_price_their_pairs():
+    """On small exact instances of every exact metric kind, both variants and
+    ten seeds, the two solvers return the same optimum, each value is the
+    ``Fraction`` sum of ``edge_cost`` over the returned pairs, and the
+    solutions are the ones the solvers gave in ``Fraction`` arithmetic
+    (pinned by digest)."""
+    rows = []
+    for kind in ("line", "ring", "matrix"):
+        for variant in (MPMD, MBPMD):
+            for seed in range(10):
+                inst = gen_random_instance(seed=seed, m=1 + seed % 6, variant=variant, metric_kind=kind)
+                assert len(inst.requests) <= BRUTE_LIMIT
+                sols = [opt_brute(inst)]
+                if variant == MBPMD:
+                    sols.append(opt_hungarian(inst))
+                    assert sols[1].value == sols[0].value, (kind, seed)
+                for sol in sols:
+                    priced = sum((Fraction(edge_cost(inst, u, v)) for u, v in sol.pairs), Fraction(0))
+                    assert sol.value == priced, (kind, variant, seed, sol.method)
+                    rows.append([kind, variant, seed, sol.method, [list(p) for p in sol.pairs], dump_scalar(sol.value, EXACT)])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "096e05d041d934a54cc74710b4b8e18742dc71a8703b2afb9b6114d7295fe441"

@@ -114,6 +114,66 @@ BUGS = (
 )
 
 
+class _LivePairsFault(GreedyDualEngine):
+    """Rewrites ``live_pairs`` once, after the first tight scan where
+    ``rewrite`` returns a new list (None leaves the list as it is)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._done = False
+
+    def process_tight(self):
+        before = list(self.live_pairs)
+        super().process_tight()
+        if not self._done:
+            live = self.rewrite(before, self.live_pairs)
+            if live is not None:
+                self._done = True
+                self.live_pairs = live
+
+
+class DroppedLivePair(_LivePairsFault):
+    def rewrite(self, before, live):
+        return live[1:] if live else None
+
+
+# The faults below keep the number of live pairs where they can, so that the
+# checks of each pair, not the count, must catch them.
+
+
+class DuplicatedLivePair(_LivePairsFault):
+    """Lists the first live pair twice, in place of the last."""
+
+    def rewrite(self, before, live):
+        return live[:1] + live[:-1] if len(live) >= 2 else None
+
+
+class InternalLivePair(_LivePairsFault):
+    """Keeps the first pair a merge made internal, in place of the last live
+    pair if there is one."""
+
+    def rewrite(self, before, live):
+        internal = [p for p in before if p not in live]
+        return live[:-1] + internal[:1] if internal else None
+
+
+class UnarrivedLivePair(_LivePairsFault):
+    """Lists a pair of the last request before it arrives, at its budget, in
+    place of the last live pair."""
+
+    def rewrite(self, before, live):
+        w = len(self.inst.requests) - 1
+        partners = [u for u in range(self.next_arrival) if self.inst.eligible(u, w)]
+        if not live or w < self.next_arrival or not partners:
+            return None
+        u = partners[0]
+        budget = self._dist[self._pid[u]][self._pid[w]] + abs(self._atime[u] - self._atime[w])
+        return live[:-1] + [(u, w, budget)]
+
+
+LIVE_PAIR_BUGS = (DroppedLivePair, DuplicatedLivePair, InternalLivePair, UnarrivedLivePair)
+
+
 def test_clean_engine_passes_its_self_check():
     for inst in CORPUS:
         GreedyDualEngine(inst, self_check=True).run()
@@ -131,6 +191,22 @@ def test_self_check_catches_injected_bug(bug):
         else:
             missed.append((i, "ran to completion"))
     assert not missed, missed
+
+
+@pytest.mark.parametrize("bug", LIVE_PAIR_BUGS, ids=lambda cls: cls.__name__)
+def test_self_check_catches_wrong_live_pairs(bug):
+    """A live pair dropped, duplicated, internal, or of an unarrived request
+    is named as a live-pairs breach."""
+    wrong = []
+    for i, inst in enumerate(CORPUS):
+        try:
+            bug(inst, self_check=True).run()
+        except EngineInvariantError as exc:
+            if str(exc) != "live-pairs: live pairs are not the eligible cross-set pairs":
+                wrong.append((i, str(exc)))
+        else:
+            wrong.append((i, "ran to completion"))
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize(
