@@ -26,14 +26,14 @@ when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
 checked once.  Pair budgets come from ``Instance.budgets``, not the engine.
 
-In exact mode the replay computes on Python ints over its own scale ``S``: an
-int ``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
+In exact mode the replay computes on Python ints over a scale ``S``: an int
+``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
 pair values, pair costs and each set's ``y`` and growth end are scaled.  ``S``
-starts as the lcm of the denominators of the arrival times and the budgets.
+starts as the scale of ``Instance.budgets``, whose times and costs it reads.
 When an event time or a growth endpoint with denominator ``den`` falls off
 the grid, ``S`` grows by ``k = den // gcd(S, den)`` and every scaled int is
-multiplied by ``k``.  This code is the replay's own; it shares none with the
-engine's scaled arithmetic, so one bug cannot fool both.  Fractions are built
+multiplied by ``k`` into new containers; the shared table stays as it was.
+None of it is engine code, so one bug cannot fool both.  Fractions are built
 only for witnesses and messages, the totals and ``edge_slacks``.  Float mode
 runs the same code on the floats themselves, with no scale.  A feasibility
 test is ``value <= cost``; only a value above its cost consults the tolerance
@@ -65,11 +65,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
-from .instance import Instance, edge_cost, surplus
-from .scalars import EXACT, Scalar, dump_scalar, eq, leq
+from .instance import Instance, _rational, surplus
+from .scalars import Scalar, dump_scalar, eq, leq
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
@@ -156,12 +156,6 @@ class _Violation(Exception):
         self.report = ViolationReport(prop, detail, witness, event_index)
 
 
-def _rational(x):
-    """An exact value with ``numerator`` and ``denominator``: ints and
-    Fractions as they are, floats as the Fraction they hold."""
-    return Fraction(x) if isinstance(x, float) else x
-
-
 class _RSet:
     __slots__ = (
         "set_id",
@@ -187,25 +181,15 @@ class _Replay:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.mode = inst.mode
-        self.exact = self.mode == EXACT
         n = len(inst.requests)
-        budgets = inst.budgets  # (u, v, cost) over all eligible pairs
-        atimes = [r.atime for r in inst.requests]
-        costs = [c for _, _, c in budgets]
-        if self.exact:
-            atimes = [_rational(t) for t in atimes]
-            costs = [_rational(c) for c in costs]
-            self.scale = lcm(*{t.denominator for t in atimes}, *{c.denominator for c in costs})
-            atimes = [t.numerator * (self.scale // t.denominator) for t in atimes]
-            costs = [c.numerator * (self.scale // c.denominator) for c in costs]
-            self.zero = 0
-        else:
-            self.scale, self.zero = None, 0.0
+        budgets = inst.budgets  # shared: read here, replaced by ``_rescale``
+        self.scale = budgets.scale  # None in float mode
+        self.zero = 0.0 if self.scale is None else 0
         # Scaled: the clock, the arrival times, the potentials, the frozen
         # pair values, the costs, and each set's ``y`` and ``growth_end``.
         self._clock = self.zero
         self.clock = self.external(self.zero)  # the time of the last clock move, as the trace gave it
-        self.atime = atimes
+        self.atime = budgets.atime
         self.next_arrival = 0
         self.potential = [self.zero] * n
         self.assign = [None] * n
@@ -218,7 +202,7 @@ class _Replay:
         self.index = -1
         self.applied = 0  # events applied so far: the cursor of ``feed``
         self.settled = 0  # ``applied`` at the last settle
-        self.cost = {(u, v): c for (u, v, _), c in zip(budgets, costs)}
+        self.cost = budgets.cost
         self.incident = [[] for _ in range(n)]  # u -> [(w, cost)] over u's eligible pairs
         for (u, v), c in self.cost.items():
             self.incident[u].append((v, c))
@@ -230,7 +214,7 @@ class _Replay:
     def scaled(self, t):
         """The scaled value of time ``t``, growing the scale first if ``t``
         is off it."""
-        if not self.exact:
+        if self.scale is None:
             return t
         t = _rational(t)
         den = t.denominator
@@ -240,7 +224,7 @@ class _Replay:
 
     def external(self, x):
         """The value a scaled ``x`` stands for."""
-        return Fraction(x, self.scale) if self.exact else x
+        return x if self.scale is None else Fraction(x, self.scale)
 
     def _rescale(self, k):
         """Multiply the scale, and every scaled value with it, by ``k``."""
@@ -488,16 +472,14 @@ class _Replay:
 
     def _check_surplus(self):
         for rec in self.sets:
-            if not rec.active:
-                continue
-            s = surplus(self.inst, rec.members)
-            if rec.sur != s or len(rec.free) != s:
+            # ``sur`` is ``surplus`` of the set's members, which never change.
+            if rec.active and len(rec.free) != rec.sur:
                 self._fail(
                     "surplus",
-                    f"set {rec.set_id} has {len(rec.free)} free requests, surplus {s}",
+                    f"set {rec.set_id} has {len(rec.free)} free requests, surplus {rec.sur}",
                     set=rec.set_id,
                     free=sorted(rec.free),
-                    surplus=s,
+                    surplus=rec.sur,
                 )
 
     def _check_potential(self):
@@ -658,7 +640,7 @@ class _Replay:
     def _check_paths(self):
         dual = self.dual
         for u, v, _ in self.matching:
-            check = marked_path(self.inst, self.marked, self.sets, (u, v), self.mode)
+            check = marked_path(self.inst, self.marked, self.sets, (u, v))
             if check is None:
                 self._fail("path-bound", f"no marked path joins matched pair ({u}, {v})", u=u, v=v)
             if not leq(check.distance, check.path_length, self.mode):
@@ -704,7 +686,7 @@ class _Replay:
         return tuple((u, v, external(c - pair_value(u, v))) for (u, v), c in self.cost.items())
 
 
-def marked_path(inst, marked, sets, pair, mode):
+def marked_path(inst, marked, sets, pair):
     """Route ``pair`` through the marked forest; None when disconnected.
 
     ``sets`` may be engine SetRecords or replay records; only ``members`` is
@@ -731,9 +713,10 @@ def marked_path(inst, marked, sets, pair, mode):
     while path[-1] != u:
         path.append(prev[path[-1]])
     path.reverse()
-    length = Fraction(0) if mode == EXACT else 0.0
+    budgets = inst.budgets
+    length = 0
     for x, w in zip(path, path[1:]):
-        length += edge_cost(inst, x, w)
+        length += budgets.cost[(x, w) if x < w else (w, x)]
     max_cross = 0
     for rec in sets:
         members = rec.members
@@ -743,7 +726,7 @@ def marked_path(inst, marked, sets, pair, mode):
     return PathCheck(
         pair=(u, v),
         path=tuple(path),
-        path_length=length,
+        path_length=budgets.value(length),
         distance=distance,
         max_crossings=max_cross,
     )
@@ -752,7 +735,7 @@ def marked_path(inst, marked, sets, pair, mode):
 def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
     """Public path probe for one matched pair of a finished run."""
     u, v = pair
-    check = marked_path(inst, result.marked_edges, result.all_sets, (min(u, v), max(u, v)), result.mode)
+    check = marked_path(inst, result.marked_edges, result.all_sets, (min(u, v), max(u, v)))
     if check is None:
         raise ValueError(f"no marked path joins ({u}, {v})")
     return check

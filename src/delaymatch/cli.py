@@ -179,6 +179,8 @@ def _cmd_certify(args) -> int:
     doc = cert.to_json()
     if args.expect:
         expected = json.loads(_read_text(args.expect))
+        if not isinstance(expected, dict):
+            raise CliError(f"--expect: summary must be a JSON object, got {type(expected).__name__}")
         mismatch = {
             key: {"expected": expected[key], "actual": doc[key]}
             for key in (

@@ -147,11 +147,13 @@ def events_from_jsonl(text: str, mode: str):
             continue
         try:
             doc = json.loads(line)
-            payload = {
-                k: (parse_scalar(v, mode) if k in ("from", "to") else v)
-                for k, v in doc["payload"].items()
-            }
-            events.append(EventRecord(t=parse_scalar(doc["t"], mode), kind=doc["kind"], payload=payload))
+            raw, kind = doc["payload"], doc["kind"]
+            if not isinstance(raw, dict):
+                raise ValueError(f"payload must be an object, got {type(raw).__name__}")
+            if not isinstance(kind, str):
+                raise ValueError(f"kind must be a string, got {type(kind).__name__}")
+            payload = {k: (parse_scalar(v, mode) if k in ("from", "to") else v) for k, v in raw.items()}
+            events.append(EventRecord(t=parse_scalar(doc["t"], mode), kind=kind, payload=payload))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
     return events

@@ -4,15 +4,17 @@ An instance is a metric, a numeric mode and an even-length list of requests
 in nondecreasing arrival order.  The bipartite variant ("mbpmd") carries
 balanced +1/-1 polarities; the plain variant ("mpmd") has polarity 0
 everywhere.  Instances are immutable after construction.  ``budgets``, the
-table of every eligible pair's budget, is built on first use and shared by
-the certifier and the offline solvers; the engine keeps its own.
+instance on one integer grid (``Budgets``), is built on first use and shared
+by the certifier and the offline solvers; the engine keeps its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .metric import (
@@ -65,16 +67,49 @@ class Instance:
         return self.requests[u].sgn == -self.requests[v].sgn
 
     @cached_property
-    def budgets(self) -> tuple:
-        """``(u, v, budget)`` for every eligible pair u < v, in lexicographic
-        order, with the budget of ``edge_cost``; built once per instance."""
-        reqs, dist = self.requests, self.metric.distance
-        return tuple(
-            (u, v, dist(ru.pos, rv.pos) + abs(ru.atime - rv.atime))
-            for u, ru in enumerate(reqs)
-            for v, rv in enumerate(reqs[u + 1 :], u + 1)
-            if ru.sgn == -rv.sgn
-        )
+    def budgets(self) -> Budgets:
+        """The instance on its grid; built once per instance, never mutated."""
+        reqs, distance = self.requests, self.metric.distance
+        ids = {}
+        pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
+        points = list(ids)
+        # dist[i][j] for j <= i: one distance per pair of distinct positions.
+        dist = [[distance(p, q) for q in points[: i + 1]] for i, p in enumerate(points)]
+        atime, scale = [r.atime for r in reqs], None
+        if self.mode == EXACT:
+            dist = [[_rational(d) for d in row] for row in dist]
+            atime = [_rational(t) for t in atime]
+            scale = lcm(*{t.denominator for t in atime}, *{d.denominator for row in dist for d in row})
+            dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
+            atime = [t.numerator * (scale // t.denominator) for t in atime]
+        sgn = [r.sgn for r in reqs]
+        cost = {
+            (u, v): (dist[pu][pv] if pu >= pv else dist[pv][pu]) + abs(atime[u] - atime[v])
+            for u, pu in enumerate(pid)
+            for v, pv in enumerate(pid[u + 1 :], u + 1)
+            if sgn[u] == -sgn[v]
+        }
+        return Budgets(scale, tuple(atime), cost)
+
+
+@dataclass(frozen=True)
+class Budgets:
+    """The arrival times and, for each eligible pair u < v in lexicographic
+    order, its ``edge_cost``: in exact mode as ints times ``scale``, the lcm of
+    the arrival-time and distance denominators; in float mode as they are."""
+
+    scale: Optional[int]  # None in float mode
+    atime: tuple
+    cost: dict
+
+    def value(self, x) -> Scalar:
+        """The value a sum ``x`` of this table's entries stands for."""
+        return x if self.scale is None else Fraction(x, self.scale)
+
+
+def _rational(x):
+    """Floats as the Fraction they hold; ints and Fractions as they are."""
+    return Fraction(x) if isinstance(x, float) else x
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:

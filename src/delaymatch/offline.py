@@ -5,21 +5,19 @@ is dist + |arrival gap| -- exactly the constraint budget.  Two routes: an
 exhaustive search over perfect matchings (any variant, up to 12 requests) and
 an assignment solver for the bipartite variant (any size, exact arithmetic).
 
-In exact mode both solvers work on Python ints: every budget times ``S``, the
-lcm of the budgets' denominators, and the optimum is returned as
-``Fraction(total, S)``.  Scaling by a positive constant keeps every
-comparison, so ties break, and pairs come out, as over the rationals.  Float
-mode solves on the budgets as they are.
+Both solvers read the pair costs of ``Instance.budgets``: in exact mode ints,
+every budget times the table's scale ``S``, with the optimum returned as
+``Fraction(total, S)``, an empty sum included.  Scaling by a positive constant
+keeps every comparison, so ties break, and pairs come out, as over the
+rationals.  Float mode solves on the budgets as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .instance import MBPMD, Instance
-from .scalars import EXACT, Scalar
+from .scalars import Scalar
 
 BRUTE_LIMIT = 12
 
@@ -56,10 +54,7 @@ def opt_brute(inst: Instance) -> OptSolution:
         raise BruteForceSizeError(
             f"{n} requests exceed the brute-force limit of {BRUTE_LIMIT}; {hint}"
         )
-    if n == 0:
-        return OptSolution(pairs=(), value=0, method="brute")
-
-    costs, scale = _scaled_budgets(inst)
+    costs = inst.budgets.cost
 
     best_pairs = None
     best_value = None
@@ -86,7 +81,7 @@ def opt_brute(inst: Instance) -> OptSolution:
         # Unreachable for valid instances: balanced polarity always admits
         # a perfect matching.
         raise VariantError("no eligible perfect matching exists")
-    return OptSolution(pairs=best_pairs, value=_unscaled(best_value, scale), method="brute")
+    return OptSolution(pairs=best_pairs, value=inst.budgets.value(best_value), method="brute")
 
 
 def opt_hungarian(inst: Instance) -> OptSolution:
@@ -99,31 +94,13 @@ def opt_hungarian(inst: Instance) -> OptSolution:
         raise VariantError("the assignment solver needs the bipartite variant")
     pos = [r.index for r in inst.requests if r.sgn == 1]
     neg = [r.index for r in inst.requests if r.sgn == -1]
-    if not pos:
-        return OptSolution(pairs=(), value=0, method="hungarian")
-    cost, scale = _scaled_budgets(inst)
+    cost = inst.budgets.cost
     matrix = [[cost[min(p, q), max(p, q)] for q in neg] for p in pos]
     assignment, value = _solve_assignment(matrix)
     pairs = sorted(
         (min(pos[i], neg[j]), max(pos[i], neg[j])) for i, j in assignment
     )
-    return OptSolution(pairs=tuple(pairs), value=_unscaled(value, scale), method="hungarian")
-
-
-def _scaled_budgets(inst: Instance):
-    """``({(u, v): budget}, S)`` over the eligible pairs: in exact mode each
-    budget times ``S``, the lcm of their denominators, as an int; in float
-    mode the budgets as they are, with S None."""
-    if inst.mode != EXACT:
-        return {(u, v): c for u, v, c in inst.budgets}, None
-    budgets = [(u, v, Fraction(c) if isinstance(c, float) else c) for u, v, c in inst.budgets]
-    scale = lcm(*{c.denominator for _, _, c in budgets})
-    return {(u, v): c.numerator * (scale // c.denominator) for u, v, c in budgets}, scale
-
-
-def _unscaled(total, scale):
-    """The value a solver's ``total`` over ``_scaled_budgets`` stands for."""
-    return total if scale is None else Fraction(total, scale)
+    return OptSolution(pairs=tuple(pairs), value=inst.budgets.value(value), method="hungarian")
 
 
 def _solve_assignment(matrix):

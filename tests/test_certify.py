@@ -18,12 +18,13 @@ from delaymatch.engine import (
     MATCH,
     TIGHT,
     EventRecord,
+    GreedyDualEngine,
     events_from_jsonl,
     events_to_jsonl,
     run,
 )
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
-from delaymatch.instance import MBPMD, MPMD, make_instance
+from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
 from delaymatch.scalars import EXACT
 
@@ -177,6 +178,48 @@ def test_marked_path_check_on_matched_pairs(tight4):
         assert check.distance <= check.path_length
         assert check.max_crossings <= 2
         assert check.distance <= 2 * dual
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_tightness_instance(6),
+        gen_tightness_instance(6, variant=MBPMD),
+        gen_ring_instance(8),
+        *(
+            gen_random_instance(seed=seed, m=6, variant=variant, metric_kind=kind)
+            for kind in ("line", "ring", "matrix", "euclidean")
+            for seed, variant in enumerate((MPMD, MBPMD))
+        ),
+    ],
+    ids=lambda inst: f"{inst.metric.kind}-{inst.variant}",
+)
+def test_marked_path_length_is_the_edge_cost_sum_along_the_path(inst):
+    res = run(inst)
+    for u, v, _ in res.matching:
+        check = marked_path_check(inst, res, (u, v))
+        expected = Fraction(0) if inst.mode == EXACT else 0.0
+        for x, w in zip(check.path, check.path[1:]):
+            expected += edge_cost(inst, min(x, w), max(x, w))
+        assert check.path_length == expected, (u, v)
+
+
+def test_certifying_leaves_the_shared_budget_table_as_it_was(monkeypatch):
+    """The replay takes its costs and arrival times from ``Instance.budgets``
+    and must rescale into new containers: certifying twice, and a
+    self-checked run before certifying, give one certificate, and the table
+    still equals a fresh instance's."""
+    rescales = []
+    rescale = _Replay._rescale
+    monkeypatch.setattr(_Replay, "_rescale", lambda self, k: (rescales.append(k), rescale(self, k)))
+    inst = gen_random_instance(seed=1, m=8, metric_kind="ring")
+    res = run(inst)
+    first = certify(inst, res).to_json()
+    assert first["ok"] and rescales  # the replay rescaled on this instance
+    assert certify(inst, res).to_json() == first
+    checked = GreedyDualEngine(inst, self_check=True).run()
+    assert certify(inst, checked).to_json() == first
+    assert inst.budgets == gen_random_instance(seed=1, m=8, metric_kind="ring").budgets
 
 
 def test_marked_path_check_rejects_disconnected_pairs():

@@ -100,6 +100,33 @@ def test_tampered_trace_fails_with_exit_2(tight4_file, tmp_path):
     assert json.loads(check.stdout)["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"t": 0, "kind": "arrival", "payload": 5}',
+        '{"t": 0, "kind": ["arrival"], "payload": {"u": 0}}',
+    ],
+    ids=["payload-not-object", "kind-not-string"],
+)
+def test_malformed_trace_line_is_an_input_error(tight4_file, tmp_path, line):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(line + "\n")
+    check = run_cli("certify", str(tight4_file), str(trace))
+    assert check.returncode == 1, check.stdout + check.stderr
+    assert check.stderr.startswith("delaymatch: error: trace line 1: ")
+    assert "Traceback" not in check.stderr
+
+
+def test_expect_must_be_a_json_object(tight4_file, tmp_path):
+    trace, summary = tmp_path / "t.trace", tmp_path / "expect.json"
+    run_cli("run", str(tight4_file), "--trace", str(trace))
+    summary.write_text("[1, 2]\n")
+    check = run_cli("certify", str(tight4_file), str(trace), "--expect", str(summary))
+    assert check.returncode == 1, check.stdout + check.stderr
+    assert check.stderr.startswith("delaymatch: error: --expect: ")
+    assert check.stdout == ""
+
+
 def test_opt_value(tight4_file):
     proc = run_cli("opt", str(tight4_file))
     assert proc.returncode == 0

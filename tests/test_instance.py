@@ -157,7 +157,7 @@ def test_euclidean_defaults_to_float_mode():
 def test_m_counts_pairs():
     inst = line_instance([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
     assert inst.m == 2
-    assert len(inst.budgets) == 6
+    assert len(inst.budgets.cost) == 6
 
 
 @pytest.mark.parametrize(
@@ -177,7 +177,27 @@ def test_m_counts_pairs():
 def test_budgets_table_is_edge_cost_over_eligible_pairs(inst):
     n = len(inst.requests)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    expected = tuple((u, v, edge_cost(inst, u, v)) for u, v in pairs if edge_cost(inst, u, v) is not None)
-    assert inst.budgets == expected
-    assert all(inst.eligible(u, v) for u, v, _ in inst.budgets)
-    assert inst.budgets is inst.budgets  # built once per instance
+    table = inst.budgets
+    # Only eligible pairs, every one of them, keys in lexicographic order.
+    assert list(table.cost) == [(u, v) for u, v in pairs if edge_cost(inst, u, v) is not None]
+    assert all(inst.eligible(u, v) for u, v in table.cost)
+    exact = inst.mode == EXACT
+    if exact:
+        assert all(type(x) is int for x in (*table.atime, *table.cost.values()))
+    else:
+        assert table.scale is None
+    # Each cost over the scale is the pair's edge_cost (bit for bit in float mode).
+    assert all((Fraction(c, table.scale) if exact else c) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
+    assert [Fraction(t, table.scale) if exact else t for t in table.atime] == [r.atime for r in inst.requests]
+    assert inst.budgets is table  # built once per instance
+
+
+def test_budgets_scale_is_the_lcm_of_arrival_and_distance_denominators():
+    # Distances with denominators 12, 3, 15, 4, 20 and 5; arrival times with 2.
+    inst = line_instance(
+        [(Fraction(1, 3), 0, 0), (Fraction(3, 4), Fraction(1, 2), 0), (0, 1, 0), (Fraction(1, 5), 1, 0)]
+    )
+    table = inst.budgets
+    assert table.scale == 60
+    assert table.atime == (0, 30, 60, 60)
+    assert all(Fraction(c, 60) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
