@@ -30,14 +30,16 @@ In exact mode the replay computes on Python ints over a scale ``S``: an int
 ``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
 pair values, pair costs and each set's ``y`` and growth end are scaled.  ``S``
 starts as the scale of ``Instance.budgets``, whose times and costs it reads.
-When an event time or a growth endpoint with denominator ``den`` falls off
-the grid, ``S`` grows by ``k = den // gcd(S, den)`` and every scaled int is
-multiplied by ``k`` into new containers; the shared table stays as it was.
-None of it is engine code, so one bug cannot fool both.  Fractions are built
-only for witnesses and messages, the totals and ``edge_slacks``.  Float mode
-runs the same code on the floats themselves, with no scale.  A feasibility
-test is ``value <= cost``; only a value above its cost consults the tolerance
-rule of ``scalars.leq``, which admits every value ``<=`` already admits.
+Trace times are read as they are; a time not of the mode (``is_scalar``) or
+an index that is not an int breaks the trace shape.  When an event time or
+a growth endpoint with denominator ``den`` falls off the grid, ``S`` grows by
+``k = den // gcd(S, den)`` and every scaled int is multiplied by ``k`` into
+new containers; the shared table stays as it was.  None of it is engine code,
+so one bug cannot fool both.  Fractions are built only for witnesses and
+messages, the totals and ``edge_slacks``.  Float mode runs the same code on
+the floats themselves, with no scale.  A feasibility test is
+``value <= cost``; only a value above its cost consults the tolerance rule of
+``scalars.leq``, which admits every value ``<=`` already admits.
 
 Dual feasibility is re-checked after every single growth event, not only at
 settled instants.  Growth is linear, so values between two checked endpoints
@@ -68,8 +70,8 @@ from fractions import Fraction
 from math import gcd
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
-from .instance import Instance, _rational, surplus
-from .scalars import Scalar, dump_scalar, eq, leq
+from .instance import Instance, surplus
+from .scalars import Scalar, dump_scalar, eq, is_scalar, leq
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
@@ -98,7 +100,7 @@ class DualCertificate:
         return min((s for _, _, s in self.edge_slacks), default=None)
 
     def to_json(self) -> dict:
-        mode = self.mode
+        mode, min_slack = self.mode, self.min_slack
         return {
             "ok": True,
             "m": self.m,
@@ -109,7 +111,7 @@ class DualCertificate:
             "num_events": self.num_events,
             "num_sets": self.num_sets,
             "num_marked_edges": self.num_marked_edges,
-            "min_slack": None if self.min_slack is None else dump_scalar(self.min_slack, mode),
+            "min_slack": None if min_slack is None else dump_scalar(min_slack, mode),
             "edge_slacks": [
                 [u, v, dump_scalar(s, mode)] for u, v, s in self.edge_slacks
             ],
@@ -213,10 +215,11 @@ class _Replay:
 
     def scaled(self, t):
         """The scaled value of time ``t``, growing the scale first if ``t``
-        is off it."""
+        is off it.  A time that is not a scalar of the mode breaks the trace."""
+        if not is_scalar(t, self.mode):
+            self._fail("trace-shape", f"time {t!r} is not a scalar of {self.mode} mode", type=type(t).__name__)
         if self.scale is None:
             return t
-        t = _rational(t)
         den = t.denominator
         if self.scale % den:
             self._rescale(den // gcd(self.scale, den))
@@ -245,13 +248,7 @@ class _Replay:
         raise _Violation(prop, detail, self._dump_witness(witness), self.index)
 
     def _dump_witness(self, witness):
-        out = {}
-        for k, v in witness.items():
-            if isinstance(v, (Fraction, float)):
-                out[k] = dump_scalar(v, self.mode)
-            else:
-                out[k] = v
-        return out
+        return {k: dump_scalar(v, self.mode) if isinstance(v, Fraction) else v for k, v in witness.items()}
 
     def pair_value(self, u, v):
         """Scaled value charged against the (u, v) budget."""
@@ -297,7 +294,7 @@ class _Replay:
     def _ev_arrival(self, ev):
         u = ev.payload.get("u")
         n = len(self.inst.requests)
-        if not isinstance(u, int) or not 0 <= u < n:
+        if type(u) is not int or not 0 <= u < n:
             self._fail("trace-shape", "arrival of unknown request", u=u)
         if u != self.next_arrival:
             self._fail("trace-shape", f"arrival out of order: expected {self.next_arrival}, got {u}", u=u)
@@ -316,7 +313,7 @@ class _Replay:
         sid = ev.payload.get("set")
         start = ev.payload.get("from")
         end = ev.payload.get("to")
-        if not isinstance(sid, int) or not 0 <= sid < len(self.sets):
+        if type(sid) is not int or not 0 <= sid < len(self.sets):
             self._fail("trace-shape", "growth of unknown set", set=sid)
         rec = self.sets[sid]
         if start is None or end is None:
@@ -355,7 +352,7 @@ class _Replay:
         u, v = ev.payload.get("u"), ev.payload.get("v")
         self._require_settled(ev.t, "tight")
         n = len(self.inst.requests)
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
             self._fail("trace-shape", "tight pair out of range", u=u, v=v)
         if self.assign[u] is None or self.assign[v] is None:
             self._fail("trace-shape", "tight pair not fully arrived", u=u, v=v)
@@ -383,9 +380,9 @@ class _Replay:
         self._require_settled(ev.t, "merge")
         if self.pending_tight is None:
             self._fail("trace-shape", "merge without a preceding tight event")
-        if sid != len(self.sets):
+        if type(sid) is not int or sid != len(self.sets):
             self._fail("trace-shape", f"merge created set {sid}, expected {len(self.sets)}", set=sid)
-        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < len(self.sets) and 0 <= b < len(self.sets)):
+        if not (type(a) is int and type(b) is int and 0 <= a < len(self.sets) and 0 <= b < len(self.sets)):
             self._fail("trace-shape", "merge of unknown sets", a=a, b=b)
         ra, rb = self.sets[a], self.sets[b]
         if a == b or not (ra.active and rb.active):
@@ -418,7 +415,7 @@ class _Replay:
         u, v = ev.payload.get("u"), ev.payload.get("v")
         self._require_settled(ev.t, "match")
         n = len(self.inst.requests)
-        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n and u != v):
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
             self._fail("matching-validity", "match pair out of range", u=u, v=v)
         if not self.inst.eligible(u, v):
             self._fail("matching-validity", f"matched pair ({u}, {v}) is not eligible", u=u, v=v)

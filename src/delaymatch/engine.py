@@ -10,13 +10,14 @@ matched greedily.
 Exact mode keeps the clock, the request potentials and the pair budgets as
 Python ints over one shared scale ``S``: an int ``x`` stands for ``x / S``.
 ``S`` starts as the lcm of the denominators of the arrival times and of the
-distances, and grows by a factor ``k`` (every stored int with it) when a time
-off the grid appears: a tight time half a step off, or an off-grid
-``advance_to``.  Fractions are built only where values leave the engine:
-event times, ``SetRecord`` fields, ``RunResult``, and the times taken and
-returned by ``next_event``, ``advance_to`` and ``constraint_value``.  Every
-comparison is exact.  Float mode runs the same code on binary64 values; its
-tightness test follows the relative tolerance rule of ``scalars``.
+distances, read as the instance holds them (ints and Fractions), and grows by
+a factor ``k`` (every stored int with it) when a time off the grid appears: a
+tight time half a step off, or an off-grid ``advance_to``.  Fractions are
+built only where values leave the engine: event times, ``SetRecord`` fields,
+``RunResult``, and the times taken and returned by ``next_event``,
+``advance_to`` and ``constraint_value``.  Every comparison is exact.  Float
+mode runs the same code on binary64 values; its tightness test follows the
+relative tolerance rule of ``scalars``.
 
 A run is single-threaded and deterministic: ``step`` admits every arrival of
 an instant in index order, then scans once for tight pairs, which merge in
@@ -51,12 +52,6 @@ MATCH = "match"
 _TWO_OVER = (0, 2, 1)
 
 
-def _rational(x):
-    """An exact value with ``numerator`` and ``denominator``: ints and
-    Fractions as they are, floats as the Fraction they hold."""
-    return Fraction(x) if isinstance(x, float) else x
-
-
 def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     """How many eligible pairs join the given numbers of requests of each
     polarity."""
@@ -85,9 +80,12 @@ class SetRecord:
     members: frozenset
     sur: int
     y: Scalar
-    status: str
     free: set
     parent: int = None  # set_id this one merged into
+
+    @property
+    def status(self) -> str:
+        return INACTIVE if self.parent is not None else GROWING if self.free else NONGROWING
 
 
 @dataclass(frozen=True)
@@ -186,10 +184,7 @@ class GreedyDualEngine:
         atimes = [r.atime for r in reqs]
         if self._exact:
             self._zero = Fraction(0)
-            dist = [[_rational(d) for d in row] for row in dist]
-            atimes = [_rational(t) for t in atimes]
-            scale = lcm(*(t.denominator for t in atimes), *(d.denominator for row in dist for d in row))
-            self._scale = scale
+            self._scale = scale = lcm(*(t.denominator for t in atimes), *(d.denominator for row in dist for d in row))
             self._dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
             self._atime = [t.numerator * (scale // t.denominator) for t in atimes]
             self._clock = 0  # self.clock in units of 1 / scale
@@ -206,11 +201,10 @@ class GreedyDualEngine:
         self.assign = [None] * n  # request index -> active set_id
         self._grows = [0] * n  # 1 while the active set of u is growing
         self.sets: list[SetRecord] = []
-        self.active_ids: set[int] = set()
+        self.growing: set[int] = set()  # ids of the active sets with a free request
         self.marked = []  # (u, v, mark_time)
         self.matching = []  # (u, v, match_time)
         self.matched = [False] * n
-        self.free_count = 0
         self.events: list[EventRecord] = []
         # Eligible cross-set pairs among arrived requests, with their scaled
         # budgets: extended on each arrival, pruned after merges.
@@ -266,7 +260,7 @@ class GreedyDualEngine:
                 return (self._external(t2, 2), TIGHT)
         if arrivals_left:
             return (self.inst.requests[self.next_arrival].atime, ARRIVAL)
-        if self.free_count > 0:
+        if not all(self.matched):
             raise EngineInvariantError(
                 "stuck-state: free requests remain but no growth can trigger a merge"
             )
@@ -299,10 +293,8 @@ class GreedyDualEngine:
             return
         delta, delta_in = t - self.clock, t_in - self._clock
         pot = self.potential
-        for sid in sorted(self.active_ids):
+        for sid in sorted(self.growing):
             rec = self.sets[sid]
-            if rec.status != GROWING:
-                continue
             rec.y += delta
             for u in rec.members:
                 pot[u] += delta_in
@@ -317,19 +309,11 @@ class GreedyDualEngine:
             raise EngineInvariantError(f"arrival of {u} at clock {self.clock}, but atime is {req.atime}")
         self.next_arrival += 1
         sid = len(self.sets)
-        rec = SetRecord(
-            set_id=sid,
-            members=frozenset({u}),
-            sur=1,
-            y=self._zero,
-            status=GROWING,
-            free={u},
-        )
+        rec = SetRecord(set_id=sid, members=frozenset({u}), sur=1, y=self._zero, free={u})
         self.sets.append(rec)
-        self.active_ids.add(sid)
+        self.growing.add(sid)
         self.assign[u] = sid
         self._grows[u] = 1
-        self.free_count += 1
         # Every earlier request sits in another active set: all pairs cross.
         row, pid, atime, sgn = self._dist[self._pid[u]], self._pid, self._atime, self._sgn
         au, partner = atime[u], -sgn[u]
@@ -373,26 +357,19 @@ class GreedyDualEngine:
         sid = len(self.sets)
         members = a.members | b.members
         rec = SetRecord(
-            set_id=sid,
-            members=members,
-            sur=surplus(self.inst, members),
-            y=self._zero,
-            status=GROWING,
-            free=a.free | b.free,
+            set_id=sid, members=members, sur=surplus(self.inst, members), y=self._zero, free=a.free | b.free
         )
         for child in (a, b):
-            child.status = INACTIVE
             child.parent = sid
-            self.active_ids.discard(child.set_id)
+            self.growing.discard(child.set_id)
         self.sets.append(rec)
-        self.active_ids.add(sid)
         self.marked.append((min(u, v), max(u, v), self.clock))
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
-        if not rec.free:
-            rec.status = NONGROWING
-        grows = int(rec.status == GROWING)
+        grows = int(bool(rec.free))
+        if grows:
+            self.growing.add(sid)
         for w in members:
             self.assign[w] = sid
             self._grows[w] = grows
@@ -415,7 +392,6 @@ class GreedyDualEngine:
             rec.free.discard(x)
             rec.free.discard(partner)
             self.matched[x] = self.matched[partner] = True
-            self.free_count -= 2
             pair = (min(x, partner), max(x, partner))
             self.matching.append((pair[0], pair[1], self.clock))
             self._log(self.clock, MATCH, {"u": pair[0], "v": pair[1]})

@@ -3,9 +3,11 @@
 An instance is a metric, a numeric mode and an even-length list of requests
 in nondecreasing arrival order.  The bipartite variant ("mbpmd") carries
 balanced +1/-1 polarities; the plain variant ("mpmd") has polarity 0
-everywhere.  Instances are immutable after construction.  ``budgets``, the
-instance on one integer grid (``Budgets``), is built on first use and shared
-by the certifier and the offline solvers; the engine keeps its own.
+everywhere.  Every scalar is of the mode (``scalars.is_scalar``; exact mode
+holds no float), checked once at construction.  Instances are immutable after
+construction.  ``budgets``, the instance on one integer grid (``Budgets``), is
+built on first use and shared by the certifier and the offline solvers; the
+engine keeps its own.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .metric import (
     parse_metric,
     validate_metric,
 )
-from .scalars import EXACT, FLOAT, MODES, Scalar, ScalarError, dump_scalar, parse_scalar
+from .scalars import EXACT, FLOAT, MODES, Scalar, ScalarError, dump_scalar, is_scalar, parse_scalar
 
 MPMD = "mpmd"
 MBPMD = "mbpmd"
@@ -77,8 +79,6 @@ class Instance:
         dist = [[distance(p, q) for q in points[: i + 1]] for i, p in enumerate(points)]
         atime, scale = [r.atime for r in reqs], None
         if self.mode == EXACT:
-            dist = [[_rational(d) for d in row] for row in dist]
-            atime = [_rational(t) for t in atime]
             scale = lcm(*{t.denominator for t in atime}, *{d.denominator for row in dist for d in row})
             dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
             atime = [t.numerator * (scale // t.denominator) for t in atime]
@@ -105,11 +105,6 @@ class Budgets:
     def value(self, x) -> Scalar:
         """The value a sum ``x`` of this table's entries stands for."""
         return x if self.scale is None else Fraction(x, self.scale)
-
-
-def _rational(x):
-    """Floats as the Fraction they hold; ints and Fractions as they are."""
-    return Fraction(x) if isinstance(x, float) else x
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:
@@ -150,7 +145,19 @@ def _validate(inst: Instance) -> None:
         raise InstanceError(f"unknown mode {inst.mode!r}")
     if inst.metric.kind == "euclidean" and inst.mode == EXACT:
         raise InstanceError("euclidean metrics produce irrational distances; use float mode")
-    violation = validate_metric(inst.metric)
+    metric = inst.metric
+
+    def require_scalar(x, what):
+        if not is_scalar(x, inst.mode):
+            raise InstanceError(f"{what} {x!r} is not a scalar of {inst.mode} mode")
+
+    if metric.kind == "ring":
+        require_scalar(metric.h, "ring circumference")
+    if metric.kind == "matrix":
+        for i, row in enumerate(metric.dist):
+            for j, x in enumerate(row):
+                require_scalar(x, f"matrix entry ({i}, {j})")
+    violation = validate_metric(metric)
     if violation is not None:
         raise InstanceError(f"metric invalid: {violation.describe()}")
     if len(inst.requests) % 2 != 0:
@@ -161,9 +168,12 @@ def _validate(inst: Instance) -> None:
         if req.index != i:
             raise InstanceError(f"request {i} carries index {req.index}")
         try:
-            inst.metric.check_point(req.pos)
+            metric.check_point(req.pos)
         except InvalidPointError as exc:
             raise InstanceError(f"request {i}: {exc}") from None
+        require_scalar(req.atime, f"request {i}: arrival time")
+        if metric.kind in ("line", "ring"):
+            require_scalar(req.pos, f"request {i}: position")
         if req.atime < 0:
             raise InstanceError(f"request {i}: negative arrival time {req.atime}")
         if prev is not None and req.atime < prev:
@@ -191,7 +201,10 @@ def make_instance(variant, metric, requests, mode=None) -> Instance:
     if isinstance(metric, dict):
         if mode is None:
             mode = FLOAT if metric.get("kind") == "euclidean" else EXACT
-        metric = parse_metric(metric, mode)
+        try:
+            metric = parse_metric(metric, mode)
+        except (InvalidPointError, ScalarError) as exc:
+            raise InstanceError(f"bad metric: {exc}") from None
     elif mode is None:
         mode = default_mode(metric)
     reqs = tuple(

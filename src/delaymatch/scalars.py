@@ -1,7 +1,8 @@
 """Numeric modes shared by every layer.
 
-Instances run either in exact mode (all quantities are ``fractions.Fraction``,
-every comparison is exact) or in float mode (binary64).  Float mode has one
+Instances run either in exact mode (every scalar is an ``int`` or a
+``fractions.Fraction``, every comparison is exact) or in float mode (an ``int``
+or a binary64 ``float``); a bool is never a scalar.  Float mode has one
 tolerance rule, relative so that it means the same at any coordinate scale:
 ``a`` and ``b`` count as equal when ``|a - b| <= EPS_TIGHT * max(1, |a|, |b|)``.
 ``leq`` and ``eq`` apply it; the engine's tight-pair scan inlines it.  Values
@@ -21,6 +22,11 @@ MODES = (EXACT, FLOAT)
 
 # Relative tolerance of float-mode comparisons; below magnitude 1 it is absolute.
 EPS_TIGHT = 1e-9
+
+
+def is_scalar(x, mode: str) -> bool:
+    """Whether ``x`` is a scalar of ``mode`` (see above)."""
+    return isinstance(x, (int, Fraction) if mode == EXACT else (int, float)) and not isinstance(x, bool)
 
 
 class ScalarError(ValueError):

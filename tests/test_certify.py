@@ -158,6 +158,50 @@ def test_tampered_summary_is_caught(tight4):
     assert verdict.prop == "summary-consistency"
 
 
+def test_bool_request_index_in_a_trace_is_refused():
+    inst = gen_tightness_instance(2)
+    text = events_to_jsonl(run(inst))
+    tampered = text.replace('"payload": {"u": 1}}', '"payload": {"u": true}}')  # the second arrival
+    assert tampered.count("true") == 1
+    verdict = certify_events(inst, events_from_jsonl(tampered, inst.mode))
+    assert (verdict.prop, verdict.event_index) == ("trace-shape", 1)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [gen_tightness_instance(4), gen_random_instance(seed=1, m=3, variant=MBPMD, metric_kind="euclidean")],
+    ids=["exact", "float"],
+)
+def test_wrong_typed_time_or_index_is_a_violation_at_its_event(inst):
+    # A time is an int or a Fraction in exact mode, an int or a float in float
+    # mode, never a bool; an index is an int.  Anything else is refused at
+    # its event, and never crashes the replay.
+    events = list(run(inst).event_log)
+    for i, ev in enumerate(events):
+        for key, value in {"t": ev.t, **ev.payload}.items():
+            time = key in ("t", "from", "to")
+            other = Fraction(value) if time and inst.mode != EXACT else float(value)
+            for wrong in (True, False, other, str(value), None, [value]):
+                verdict = certify_events(inst, _tamper(events, i, **{key: wrong}))
+                assert not verdict.ok and verdict.event_index == i, (i, key, wrong)
+                assert verdict.prop in ("trace-shape", "matching-validity"), (i, key, wrong)
+
+
+def test_exact_trace_time_given_as_a_float_or_a_string_is_refused(tight4):
+    inst, res = tight4
+    events = list(res.event_log)
+    i = next(i for i, e in enumerate(events) if e.t == Fraction(5, 4))
+    for wrong, kind in ((1.25, "float"), ("5/4", "str")):
+        verdict = certify_events(inst, _tamper(events, i, t=wrong))
+        assert verdict.to_json() == {
+            "ok": False,
+            "property": "trace-shape",
+            "detail": f"time {wrong!r} is not a scalar of exact mode",
+            "witness": {"type": kind},
+            "event_index": i,
+        }
+
+
 def test_violation_report_serializes(tight4):
     inst, res = tight4
     events = list(res.event_log)

@@ -1,8 +1,11 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from delaymatch.certify import certify
+from delaymatch.engine import run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import (
     MBPMD,
@@ -15,6 +18,7 @@ from delaymatch.instance import (
     parse_instance,
     surplus,
 )
+from delaymatch.metric import LineMetric, MatrixMetric, RingMetric
 from delaymatch.scalars import EXACT, FLOAT
 
 LINE = {"kind": "line"}
@@ -100,6 +104,53 @@ def test_unbalanced_bipartite_rejected():
 def test_euclidean_rejects_exact_mode():
     with pytest.raises(InstanceError):
         make_instance(MPMD, {"kind": "euclidean"}, [((0, 0), 0, 0), ((1, 1), 0, 0)], mode=EXACT)
+
+
+# One builder per scalar an instance holds: the instance whose ``field`` is x.
+SCALAR_FIELDS = {
+    "arrival time": lambda x, mode: make_instance(MPMD, LineMetric(), [(0, 0, 0), (1, x, 0)], mode=mode),
+    "line position": lambda x, mode: make_instance(MPMD, LineMetric(), [(0, 0, 0), (x, 1, 0)], mode=mode),
+    "ring position": lambda x, mode: make_instance(MPMD, RingMetric(h=2), [(0, 0, 0), (x, 1, 0)], mode=mode),
+    "ring circumference": lambda x, mode: make_instance(
+        MPMD, RingMetric(h=x), [(0, 0, 0), (Fraction(1, 2) if mode == EXACT else 0.5, 1, 0)], mode=mode
+    ),
+    "matrix entry": lambda x, mode: make_instance(
+        MPMD, MatrixMetric(dist=((0, x), (x, 0))), [(0, 0, 0), (1, 1, 0)], mode=mode
+    ),
+}
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+@pytest.mark.parametrize(
+    "mode, good, bad",
+    [(EXACT, (1, Fraction(1)), (1.0, True)), (FLOAT, (1, 1.0), (Fraction(1), True))],
+    ids=[EXACT, FLOAT],
+)
+def test_every_scalar_must_be_of_the_mode(field, mode, good, bad):
+    build = SCALAR_FIELDS[field]
+    for x in good:
+        assert build(x, mode).mode == mode
+    for x in bad:  # the error names the request or the field
+        with pytest.raises(InstanceError, match=r"^(request 1: |ring circumference |matrix entry \(0, 1\) )"):
+            build(x, mode)
+
+
+@pytest.mark.parametrize("doc", [{"kind": "ring", "h": 1.5}, {"kind": "matrix", "dist": [[0, 0.5], [0.5, 0]]}])
+def test_float_in_an_exact_metric_document_is_an_instance_error(doc):
+    with pytest.raises(InstanceError, match="^bad metric: "):
+        make_instance(MPMD, doc, [(0, 0, 0), (0, 1, 0)], mode=EXACT)
+
+
+def test_float_inputs_in_exact_mode_fail_at_construction_not_at_certification():
+    # Line m=3 with float positions and times: built in exact mode, this one
+    # used to run and then fail its own certification with waiting-equals-dual.
+    rng = random.Random(1)
+    requests = [(round(rng.uniform(0, 10), 3), t, 0) for t in sorted(round(rng.uniform(0, 10), 1) for _ in range(6))]
+    with pytest.raises(InstanceError, match="^request 0: arrival time 1.3 is not a scalar of exact mode$"):
+        make_instance(MPMD, LineMetric(), requests, mode=EXACT)
+    # The decimals those floats were rounded to, as rationals, build and certify.
+    inst = make_instance(MPMD, LineMetric(), [(Fraction(str(p)), Fraction(str(t)), 0) for p, t, _ in requests])
+    assert certify(inst, run(inst)).ok
 
 
 def test_broken_matrix_metric_rejected():
