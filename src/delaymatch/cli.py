@@ -8,7 +8,9 @@ Exit codes: 0 on success, 1 for unusable input (bad arguments, files, or
 instance documents), 2 when certification or a run-time property check
 fails.  All JSON output is canonical (two-space indent, sorted insertion
 order, trailing newline) so identical invocations produce identical bytes;
-wall-clock timings stay out of reports unless ``--timing`` asks for them.
+it is strict JSON, so a value that would print as NaN or Infinity is an
+error (exit 1) instead.  Wall-clock timings stay out of reports unless
+``--timing`` asks for them.
 """
 
 from __future__ import annotations
@@ -25,18 +27,9 @@ from pathlib import Path
 from .certify import certify, certify_events, ratio_report
 from .engine import EngineInvariantError, GreedyDualEngine, events_from_jsonl, events_to_jsonl
 from .generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
-from .instance import MBPMD, MPMD, InstanceError, instance_json, parse_instance
-from .metric import InvalidPointError
-from .offline import (
-    BRUTE_LIMIT,
-    BruteForceSizeError,
-    VariantError,
-    opt_brute,
-    opt_hungarian,
-)
-from .scalars import MODES, ScalarError, dump_scalar
-
-_INPUT_ERRORS = (InstanceError, ScalarError, InvalidPointError, ValueError, OSError)
+from .instance import MBPMD, MPMD, instance_json, parse_instance
+from .offline import BRUTE_LIMIT, opt_brute, opt_hungarian
+from .scalars import MODES, dump_scalar
 
 
 class CliError(Exception):
@@ -51,8 +44,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_json_text(doc))
 
 
 def _read_text(path: str) -> str:
@@ -342,8 +339,8 @@ def _cmd_bench(args) -> int:
             writer.writerow(
                 ["" if row.get(col) is None else str(row.get(col)) for col in columns]
             )
+        Path(args.out + ".json").write_text(_json_text(doc))  # raises before any file is written
         Path(args.out + ".csv").write_text(buf.getvalue())
-        Path(args.out + ".json").write_text(json.dumps(doc, indent=2) + "\n")
     else:
         _emit(doc)
 
@@ -422,13 +419,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, BruteForceSizeError, VariantError) as exc:
-        print(f"delaymatch: error: {exc}", file=sys.stderr)
-        return 1
     except json.JSONDecodeError as exc:
         print(f"delaymatch: error: bad JSON input: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
+    except (CliError, ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"delaymatch: error: {exc}", file=sys.stderr)
         return 1
     except EngineInvariantError as exc:

@@ -125,12 +125,16 @@ class RunResult:
         }
 
 
+# json.dumps's own bytes, but strict: a NaN or infinite time raises ValueError.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
 def event_to_json(ev: EventRecord, mode: str) -> str:
     payload = {
         k: (dump_scalar(v, mode) if k in ("from", "to") else v)
         for k, v in ev.payload.items()
     }
-    return json.dumps({"t": dump_scalar(ev.t, mode), "kind": ev.kind, "payload": payload})
+    return _encode({"t": dump_scalar(ev.t, mode), "kind": ev.kind, "payload": payload})
 
 
 def events_to_jsonl(result: RunResult) -> str:
@@ -427,8 +431,10 @@ class GreedyDualEngine:
     def step(self) -> bool:
         """Process one event (an arrival batch or a tight instant).
 
-        A step that neither moves the clock nor logs an event would repeat
-        forever, so it raises EngineInvariantError instead."""
+        A step must move the clock forward, or keep it and log an event; any
+        other step (one that changes nothing, or a clock turned NaN by an
+        overflow) would repeat forever, so it raises EngineInvariantError
+        instead."""
         ev = self.next_event()
         if ev is None:
             return False
@@ -440,8 +446,11 @@ class GreedyDualEngine:
             while self.next_arrival < n and self._atime[self.next_arrival] == self._clock:
                 self._admit(self.next_arrival)
         self.process_tight()
-        if self.clock == clock and len(self.events) == logged:
-            raise EngineInvariantError(f"stalled: {kind} event at {t} moved no clock and logged nothing")
+        if not (self.clock > clock or self.clock == clock and len(self.events) > logged):
+            raise EngineInvariantError(
+                f"stalled: {kind} event at {t} took the clock from {clock} to {self.clock} "
+                f"and logged {len(self.events) - logged} events"
+            )
         if self.self_check:
             self._self_check()
         return True

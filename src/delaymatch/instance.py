@@ -3,11 +3,12 @@
 An instance is a metric, a numeric mode and an even-length list of requests
 in nondecreasing arrival order.  The bipartite variant ("mbpmd") carries
 balanced +1/-1 polarities; the plain variant ("mpmd") has polarity 0
-everywhere.  Every scalar is of the mode (``scalars.is_scalar``; exact mode
-holds no float), checked once at construction.  Instances are immutable after
-construction.  ``budgets``, the instance on one integer grid (``Budgets``), is
-built on first use and shared by the certifier and the offline solvers; the
-engine keeps its own.
+everywhere.  Every scalar is of the mode (``scalars.is_scalar``: exact mode
+holds no float, float mode no NaN, infinity or int beyond binary64 range),
+checked once at construction, positions through ``Metric.check_point``.
+Instances are immutable after construction.  ``budgets``, the instance on
+one integer grid (``Budgets``), is built on first use and shared by the
+certifier and the offline solvers; the engine keeps its own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .metric import (
     parse_metric,
     validate_metric,
 )
-from .scalars import EXACT, FLOAT, MODES, Scalar, ScalarError, dump_scalar, is_scalar, parse_scalar
+from .scalars import EXACT, MODES, Scalar, ScalarError, dump_scalar, is_scalar, parse_scalar
 
 MPMD = "mpmd"
 MBPMD = "mbpmd"
@@ -167,13 +168,11 @@ def _validate(inst: Instance) -> None:
     for i, req in enumerate(inst.requests):
         if req.index != i:
             raise InstanceError(f"request {i} carries index {req.index}")
+        require_scalar(req.atime, f"request {i}: arrival time")
         try:
-            metric.check_point(req.pos)
+            metric.check_point(req.pos, inst.mode)
         except InvalidPointError as exc:
             raise InstanceError(f"request {i}: {exc}") from None
-        require_scalar(req.atime, f"request {i}: arrival time")
-        if metric.kind in ("line", "ring"):
-            require_scalar(req.pos, f"request {i}: position")
         if req.atime < 0:
             raise InstanceError(f"request {i}: negative arrival time {req.atime}")
         if prev is not None and req.atime < prev:
@@ -198,15 +197,13 @@ def make_instance(variant, metric, requests, mode=None) -> Instance:
 
     ``metric`` may be a Metric or a metric document like {"kind": "line"}.
     """
+    if mode is None:
+        mode = default_mode(metric.get("kind") if isinstance(metric, dict) else metric.kind)
     if isinstance(metric, dict):
-        if mode is None:
-            mode = FLOAT if metric.get("kind") == "euclidean" else EXACT
         try:
             metric = parse_metric(metric, mode)
         except (InvalidPointError, ScalarError) as exc:
             raise InstanceError(f"bad metric: {exc}") from None
-    elif mode is None:
-        mode = default_mode(metric)
     reqs = tuple(
         Request(index=i, pos=pos, atime=atime, sgn=sgn)
         for i, (pos, atime, sgn) in enumerate(requests)
@@ -241,7 +238,7 @@ def parse_instance(doc, default: str = None) -> Instance:
         # Payload scalars are parsed in the mode we settle on, so peek at the
         # kind before constructing the metric.
         kind = doc["metric"].get("kind") if isinstance(doc["metric"], dict) else None
-        mode = default if default is not None else (FLOAT if kind == "euclidean" else EXACT)
+        mode = default if default is not None else default_mode(kind)
     if mode not in MODES:
         raise InstanceError(f"mode must be one of {MODES}, got {mode!r}")
 

@@ -3,6 +3,8 @@
 Four kinds: an explicit distance matrix, the real line, the Euclidean plane
 and a ring of fixed circumference.  Matrix/line/ring support exact rational
 arithmetic; the plane produces irrational distances and is float-only.
+``check_point`` asks ``scalars.is_scalar`` whether a position or coordinate
+is a scalar of the instance's mode; no kind keeps a type rule of its own.
 Metric objects are immutable after construction.
 """
 
@@ -10,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .scalars import EXACT, FLOAT, Scalar, parse_scalar, dump_scalar
+from .scalars import EXACT, FLOAT, Scalar, dump_scalar, is_scalar, parse_scalar
 
 
 class InvalidPointError(ValueError):
@@ -39,7 +40,8 @@ class Metric:
     def distance(self, a, b) -> Scalar:
         raise NotImplementedError
 
-    def check_point(self, p) -> None:
+    def check_point(self, p, mode: str) -> None:
+        """Raise InvalidPointError unless ``p`` is a point of this metric in ``mode``."""
         raise NotImplementedError
 
     def validate(self) -> Optional[MetricViolation]:
@@ -66,8 +68,9 @@ class LineMetric(Metric):
     def distance(self, a, b):
         return abs(a - b)
 
-    def check_point(self, p):
-        _require_scalar(self, p)
+    def check_point(self, p, mode):
+        if not is_scalar(p, mode):
+            raise InvalidPointError(f"line point must be a scalar of {mode} mode, got {p!r}")
 
     def parse_point(self, value, mode):
         return parse_scalar(value, mode)
@@ -98,8 +101,9 @@ class RingMetric(Metric):
         d = abs(a - b)
         return min(d, self.h - d)
 
-    def check_point(self, p):
-        _require_scalar(self, p)
+    def check_point(self, p, mode):
+        if not is_scalar(p, mode):
+            raise InvalidPointError(f"ring point must be a scalar of {mode} mode, got {p!r}")
         if not (0 <= p < self.h):
             raise InvalidPointError(f"ring position {p} outside [0, {self.h})")
 
@@ -122,13 +126,9 @@ class EuclideanMetric(Metric):
     def distance(self, a, b):
         return math.hypot(a[0] - b[0], a[1] - b[1])
 
-    def check_point(self, p):
-        if (
-            not isinstance(p, tuple)
-            or len(p) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in p)
-        ):
-            raise InvalidPointError(f"euclidean point must be an (x, y) pair, got {p!r}")
+    def check_point(self, p, mode):
+        if not isinstance(p, tuple) or len(p) != 2 or not all(is_scalar(c, mode) for c in p):
+            raise InvalidPointError(f"euclidean point must be an (x, y) pair of {mode} scalars, got {p!r}")
 
     def parse_point(self, value, mode):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -153,7 +153,7 @@ class MatrixMetric(Metric):
     def distance(self, a, b):
         return self.dist[a][b]
 
-    def check_point(self, p):
+    def check_point(self, p, mode):
         if isinstance(p, bool) or not isinstance(p, int):
             raise InvalidPointError(f"matrix point must be an index, got {p!r}")
         if not 0 <= p < self.size:
@@ -191,13 +191,6 @@ class MatrixMetric(Metric):
         return {"dist": [[dump_scalar(x, mode) for x in row] for row in self.dist]}
 
 
-def distance(metric: Metric, a, b) -> Scalar:
-    """Distance between two points valid for ``metric``."""
-    metric.check_point(a)
-    metric.check_point(b)
-    return metric.distance(a, b)
-
-
 def validate_metric(metric: Metric) -> Optional[MetricViolation]:
     """Exhaustive axiom check for matrix metrics; built-ins hold by construction."""
     return metric.validate()
@@ -231,11 +224,7 @@ def dump_metric(metric: Metric, mode: str) -> dict:
     return doc
 
 
-def default_mode(metric: Metric) -> str:
-    """Exact for matrix/line/ring, float for the plane."""
-    return FLOAT if metric.kind == "euclidean" else EXACT
-
-
-def _require_scalar(metric, p):
-    if isinstance(p, bool) or not isinstance(p, (int, float, Fraction)):
-        raise InvalidPointError(f"{metric.kind} point must be a scalar, got {p!r}")
+def default_mode(kind) -> str:
+    """The mode of a metric ``kind`` when none is given: exact for
+    matrix/line/ring, float for the plane."""
+    return FLOAT if kind == "euclidean" else EXACT

@@ -2,8 +2,11 @@
 
 Instances run either in exact mode (every scalar is an ``int`` or a
 ``fractions.Fraction``, every comparison is exact) or in float mode (an ``int``
-or a binary64 ``float``); a bool is never a scalar.  Float mode has one
-tolerance rule, relative so that it means the same at any coordinate scale:
+or a ``float`` that binary64 holds as a finite value: no NaN, no infinity, no
+int beyond ``sys.float_info.max``); a bool is never a scalar.  ``is_scalar``
+is the one statement of this rule; every door of an instance or a trace asks
+it.  Float mode has one tolerance rule, relative so that it means the same at
+any coordinate scale:
 ``a`` and ``b`` count as equal when ``|a - b| <= EPS_TIGHT * max(1, |a|, |b|)``.
 ``leq`` and ``eq`` apply it; the engine's tight-pair scan inlines it.  Values
 are immutable and safe to share between threads.
@@ -11,6 +14,7 @@ are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -23,10 +27,18 @@ MODES = (EXACT, FLOAT)
 # Relative tolerance of float-mode comparisons; below magnitude 1 it is absolute.
 EPS_TIGHT = 1e-9
 
+# Types are matched exactly, so a bool (an int subclass) is never a scalar.
+_EXACT_TYPES = frozenset((int, Fraction))
+_FLOAT_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
 
 def is_scalar(x, mode: str) -> bool:
-    """Whether ``x`` is a scalar of ``mode`` (see above)."""
-    return isinstance(x, (int, Fraction) if mode == EXACT else (int, float)) and not isinstance(x, bool)
+    """Whether ``x`` is a scalar of ``mode`` (see above).  The float range
+    test is False for NaN, the infinities and ints binary64 cannot hold."""
+    if mode == EXACT:
+        return type(x) in _EXACT_TYPES
+    return type(x) in _FLOAT_TYPES and abs(x) <= _FLOAT_MAX
 
 
 class ScalarError(ValueError):
@@ -34,35 +46,25 @@ class ScalarError(ValueError):
 
 
 def parse_scalar(value, mode: str) -> Scalar:
-    """Decode a JSON number into the mode's representation.
+    """Decode a JSON value into the mode's representation.
 
-    Exact mode accepts integers and ``"p/q"`` strings (JSON doubles cannot
-    carry exact rationals); float mode accepts any JSON number and, for
-    compatibility with exact documents, rational strings.
+    A ``"p/q"`` string is read as a rational (JSON doubles cannot carry exact
+    rationals); any other value must be a scalar of the mode as it stands.
+    Exact mode returns a ``Fraction``, float mode a finite ``float``.
     """
-    if isinstance(value, bool):
-        raise ScalarError(f"not a scalar: {value!r}")
-    if mode == EXACT:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ScalarError(f"bad rational literal {value!r}: {exc}") from None
-        raise ScalarError(
-            f"exact mode requires an integer or 'p/q' string, got {value!r}"
-        )
-    if mode == FLOAT:
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
-            try:
-                return float(Fraction(value))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ScalarError(f"bad rational literal {value!r}: {exc}") from None
-        raise ScalarError(f"float mode requires a JSON number, got {value!r}")
-    raise ScalarError(f"unknown numeric mode {mode!r}")
+    if mode not in MODES:
+        raise ScalarError(f"unknown numeric mode {mode!r}")
+    if isinstance(value, str):
+        try:
+            frac = Fraction(value)
+            return frac if mode == EXACT else float(frac)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ScalarError(f"bad rational literal {value!r}: {exc}") from None
+    if not is_scalar(value, mode):
+        if mode == EXACT:
+            raise ScalarError(f"exact mode requires an integer or 'p/q' string, got {value!r}")
+        raise ScalarError(f"float mode requires a finite JSON number, got {value!r}")
+    return Fraction(value) if mode == EXACT else float(value)
 
 
 def dump_scalar(value: Scalar, mode: str):

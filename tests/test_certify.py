@@ -3,6 +3,7 @@ import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
@@ -173,15 +174,15 @@ def test_bool_request_index_in_a_trace_is_refused():
     ids=["exact", "float"],
 )
 def test_wrong_typed_time_or_index_is_a_violation_at_its_event(inst):
-    # A time is an int or a Fraction in exact mode, an int or a float in float
-    # mode, never a bool; an index is an int.  Anything else is refused at
-    # its event, and never crashes the replay.
+    # A time is an int or a Fraction in exact mode, a finite int or float in
+    # float mode, never a bool; an index is an int.  Anything else is refused
+    # at its event, and never crashes the replay.
     events = list(run(inst).event_log)
     for i, ev in enumerate(events):
         for key, value in {"t": ev.t, **ev.payload}.items():
             time = key in ("t", "from", "to")
             other = Fraction(value) if time and inst.mode != EXACT else float(value)
-            for wrong in (True, False, other, str(value), None, [value]):
+            for wrong in (True, False, other, str(value), None, [value], inf, nan):
                 verdict = certify_events(inst, _tamper(events, i, **{key: wrong}))
                 assert not verdict.ok and verdict.event_index == i, (i, key, wrong)
                 assert verdict.prop in ("trace-shape", "matching-validity"), (i, key, wrong)

@@ -8,7 +8,7 @@ import pytest
 CLI = [sys.executable, "-m", "delaymatch.cli"]
 
 
-def run_cli(*args, env_extra=None, input_text=None):
+def run_cli(*args, env_extra=None, input_text=None, timeout=None):
     env = dict(os.environ)
     env.pop("DM_MODE", None)
     if env_extra:
@@ -19,6 +19,7 @@ def run_cli(*args, env_extra=None, input_text=None):
         text=True,
         env=env,
         input=input_text,
+        timeout=timeout,
     )
 
 
@@ -251,3 +252,74 @@ def test_bench_rejects_bad_gen_spec():
     assert run_cli("bench", "--gen", "tightness").returncode == 1
     assert run_cli("bench", "--gen", "tightness:m=4,bogus=1").returncode == 1
     assert run_cli("bench", "--gen", "warp:m=4").returncode == 1
+
+
+# JSON texts of values that are not finite binary64 numbers.
+NON_FINITE = {
+    "NaN": "NaN",
+    "Infinity": "Infinity",
+    "-Infinity": "-Infinity",
+    "1e400": "1e400",
+    "400-digit-int": "1" * 400,
+    "string-1e400": '"1e400"',
+}
+
+# Metric and requests of a float document, with TOKEN in the named field.
+FLOAT_FIELDS = {
+    "arrival time": ('{"kind": "line"}', '[{"pos": 0, "atime": 0}, {"pos": 1, "atime": TOKEN}]'),
+    "line position": ('{"kind": "line"}', '[{"pos": 0, "atime": 0}, {"pos": TOKEN, "atime": 1}]'),
+    "euclidean coordinate": ('{"kind": "euclidean"}', '[{"pos": [0, 0], "atime": 0}, {"pos": [1, TOKEN], "atime": 1}]'),
+    "ring circumference": ('{"kind": "ring", "h": TOKEN}', '[{"pos": 0, "atime": 0}, {"pos": 1, "atime": 1}]'),
+}
+
+
+def _float_doc(metric, requests):
+    return f'{{"variant": "mpmd", "mode": "float", "metric": {metric}, "requests": {requests}}}'
+
+
+def _assert_input_error(proc):
+    # One error line, no traceback, nothing on stdout (so no NaN or Infinity).
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("delaymatch: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("token", NON_FINITE.values(), ids=NON_FINITE)
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_float_input_that_is_not_a_finite_binary64_is_an_input_error(tmp_path, field, token):
+    # The timeout turns an engine that spins on a NaN clock into a failure.
+    path = tmp_path / "inst.json"
+    path.write_text(_float_doc(*FLOAT_FIELDS[field]).replace("TOKEN", token))
+    _assert_input_error(run_cli("run", str(path), timeout=10))
+
+
+@pytest.mark.parametrize("token", NON_FINITE.values(), ids=NON_FINITE)
+def test_float_trace_time_that_is_not_a_finite_binary64_is_an_input_error(tmp_path, token):
+    inst, trace = tmp_path / "inst.json", tmp_path / "run.trace"
+    inst.write_text(_float_doc(*FLOAT_FIELDS["arrival time"]).replace("TOKEN", "1"))
+    assert run_cli("run", str(inst), "--trace", str(trace)).returncode == 0
+    lines = trace.read_text().splitlines()
+    assert lines[-1].startswith('{"t": 1.5, ')
+    trace.write_text("\n".join(lines[:-1] + [lines[-1].replace("1.5", token, 1)]) + "\n")
+    proc = run_cli("certify", str(inst), str(trace), timeout=10)
+    _assert_input_error(proc)
+    assert proc.stderr.startswith(f"delaymatch: error: trace line {len(lines)}: ")
+
+
+def test_overflowing_distance_is_refused_not_printed(tmp_path):
+    # Finite positions 2e308 apart: the pair's budget overflows to inf.
+    far = '{"pos": -1e308, "atime": 0}, {"pos": 1e308, "atime": 0}'
+    pair = tmp_path / "pair.json"
+    pair.write_text(_float_doc('{"kind": "line"}', f"[{far}]"))
+    # The clock goes inf and then NaN; the run stops instead of spinning.
+    proc = run_cli("run", str(pair), timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("delaymatch: property violation: stalled: ")
+    _assert_input_error(run_cli("opt", str(pair), timeout=10))
+    # With a near pair first, the run finishes at an infinite clock: neither
+    # its summary nor its trace can be written as JSON.
+    four = tmp_path / "four.json"
+    near = '{"pos": 0, "atime": 1}, {"pos": 1, "atime": 2}'
+    four.write_text(_float_doc('{"kind": "line"}', f"[{far}, {near}]"))
+    for args in (["run", str(four)], ["run", str(four), "--trace", "-"], ["opt", str(four)]):
+        _assert_input_error(run_cli(*args, timeout=10))

@@ -235,3 +235,15 @@ def test_step_without_progress_raises_instead_of_spinning():
             continue
         assert certify(inst, eng.run()).ok, seed
     assert stalled > 0
+
+
+def test_overflowing_budget_raises_stalled_instead_of_spinning():
+    # Finite positions whose distance overflows: the budget is inf, so the
+    # clock goes to inf and then to NaN, which is no progress.
+    inst = make_instance(MPMD, LINE, [(-1e308, 0, 0), (1e308, 0, 0)], mode=FLOAT)
+    eng = GreedyDualEngine(inst)
+    with pytest.raises(EngineInvariantError, match="^stalled: ") as exc:
+        for _ in range(10):
+            if not eng.step():
+                break
+    assert "logged nothing" not in str(exc.value)  # the step did log events

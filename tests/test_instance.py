@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
@@ -18,7 +19,7 @@ from delaymatch.instance import (
     parse_instance,
     surplus,
 )
-from delaymatch.metric import LineMetric, MatrixMetric, RingMetric
+from delaymatch.metric import EuclideanMetric, InvalidPointError, LineMetric, MatrixMetric, RingMetric
 from delaymatch.scalars import EXACT, FLOAT
 
 LINE = {"kind": "line"}
@@ -117,20 +118,35 @@ SCALAR_FIELDS = {
     "matrix entry": lambda x, mode: make_instance(
         MPMD, MatrixMetric(dist=((0, x), (x, 0))), [(0, 0, 0), (1, 1, 0)], mode=mode
     ),
+    "euclidean coordinate": lambda x, mode: make_instance(
+        MPMD, EuclideanMetric(), [((0, 0), 0, 0), ((1, x), 1, 0)], mode=mode
+    ),
+}
+
+# Per mode: values every field holds, and values no field may hold.  Float
+# mode holds only what binary64 holds as a finite value.
+SCALAR_VALUES = {
+    EXACT: ((1, Fraction(1)), (1.0, True)),
+    FLOAT: ((1, 1.0), (Fraction(1), True, nan, inf, -inf, 10**400)),
 }
 
 
-@pytest.mark.parametrize("field", SCALAR_FIELDS)
 @pytest.mark.parametrize(
-    "mode, good, bad",
-    [(EXACT, (1, Fraction(1)), (1.0, True)), (FLOAT, (1, 1.0), (Fraction(1), True))],
-    ids=[EXACT, FLOAT],
+    "mode, field",
+    # The plane has no exact mode at all (test_euclidean_rejects_exact_mode).
+    [(mode, field) for mode in SCALAR_VALUES for field in SCALAR_FIELDS if (mode, field) != (EXACT, "euclidean coordinate")],
 )
-def test_every_scalar_must_be_of_the_mode(field, mode, good, bad):
+def test_every_scalar_must_be_of_the_mode(field, mode):
     build = SCALAR_FIELDS[field]
+    good, bad = SCALAR_VALUES[mode]
     for x in good:
         assert build(x, mode).mode == mode
-    for x in bad:  # the error names the request or the field
+    for x in bad:
+        if field == "ring circumference" and x == -inf:  # the ring refuses it before any instance exists
+            with pytest.raises(InvalidPointError, match="^ring circumference must be positive"):
+                build(x, mode)
+            continue
+        # the error names the request or the field
         with pytest.raises(InstanceError, match=r"^(request 1: |ring circumference |matrix entry \(0, 1\) )"):
             build(x, mode)
 

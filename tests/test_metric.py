@@ -9,7 +9,6 @@ from delaymatch.metric import (
     MatrixMetric,
     RingMetric,
     default_mode,
-    distance,
     dump_metric,
     parse_metric,
     validate_metric,
@@ -45,7 +44,7 @@ def test_matrix_distance_looks_up_entries():
     m = MatrixMetric(((0, 2), (2, 0)))
     assert m.distance(0, 1) == 2
     with pytest.raises(InvalidPointError):
-        distance(m, 0, 5)
+        m.check_point(5, EXACT)
 
 
 def test_matrix_validation_catches_axiom_breaches():
@@ -87,9 +86,10 @@ def test_parse_rejects_unknown_kind_and_bad_payload():
 
 
 def test_default_mode_is_float_only_for_euclidean():
-    assert default_mode(EuclideanMetric()) == FLOAT
-    assert default_mode(LineMetric()) == EXACT
-    assert default_mode(RingMetric(Fraction(1))) == EXACT
+    assert default_mode("euclidean") == FLOAT
+    assert default_mode("line") == EXACT
+    assert default_mode("ring") == EXACT
+    assert default_mode("matrix") == EXACT
 
 
 def test_point_parsing_per_kind():
@@ -102,6 +102,6 @@ def test_point_parsing_per_kind():
     mat = MatrixMetric(((0, 2), (2, 0)))
     assert mat.parse_point(1, EXACT) == 1
     with pytest.raises(InvalidPointError):
-        mat.check_point(2)  # decoding is typed; range lives in check_point
+        mat.check_point(2, EXACT)  # decoding is typed; range lives in check_point
     with pytest.raises(InvalidPointError):
         mat.parse_point(True, EXACT)

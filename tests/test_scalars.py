@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
@@ -9,6 +11,7 @@ from delaymatch.scalars import (
     ScalarError,
     dump_scalar,
     eq,
+    is_scalar,
     leq,
     parse_scalar,
 )
@@ -43,6 +46,18 @@ def test_float_parses_numbers_and_rational_strings():
         parse_scalar(True, FLOAT)
     with pytest.raises(ScalarError):
         parse_scalar([1], FLOAT)
+    # Only finite binary64 values: no NaN, no infinity, nothing out of range.
+    for value in (nan, inf, -inf, 10**400, -(10**400), "1e400", "-1e400"):
+        with pytest.raises(ScalarError):
+            parse_scalar(value, FLOAT)
+    assert parse_scalar("1e400", EXACT) == 10**400  # exact mode has no range
+
+
+def test_float_scalars_end_at_the_largest_finite_double():
+    top = sys.float_info.max
+    assert is_scalar(top, FLOAT) and is_scalar(-top, FLOAT) and is_scalar(int(top), FLOAT)
+    assert not is_scalar(int(top) + 1, FLOAT) and not is_scalar(-int(top) - 1, FLOAT)
+    assert parse_scalar(int(top), FLOAT) == top
 
 
 def test_unknown_mode_rejected():
