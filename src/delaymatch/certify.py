@@ -8,9 +8,9 @@ three groups:
 
 * admissibility of each event against the replayed state (clock discipline,
   arrival order, growth bookkeeping, merge references);
-* state properties re-verified during the replay: partition of arrived
-  requests by active sets, surplus counts, potential-equals-waiting for free
-  requests, dual feasibility of every eligible pair;
+* state properties: at each settled instant, partition of arrived requests by
+  active sets, surplus counts, potential-equals-waiting for free requests;
+  where the replay stops, dual feasibility of every arrived eligible pair;
 * endgame properties: marked edges form a spanning forest with one tree per
   active set and exactly tight budgets, waiting cost equals the dual
   objective, matched pairs connect through the marked forest cheaply, and the
@@ -37,30 +37,16 @@ a growth endpoint with denominator ``den`` falls off the grid, ``S`` grows by
 new containers; the shared table stays as it was.  None of it is engine code,
 so one bug cannot fool both.  Fractions are built only for witnesses and
 messages, the totals and ``edge_slacks``.  Float mode runs the same code on
-the floats themselves, with no scale.  A feasibility test is
-``value <= cost``; only a value above its cost consults the tolerance rule of
-``scalars.leq``, which admits every value ``<=`` already admits.
+the floats themselves, with no scale.
 
-Dual feasibility is re-checked after every single growth event, not only at
-settled instants.  Growth is linear, so values between two checked endpoints
-stay between the endpoint values; checking each endpoint makes an inflated or
-misattributed growth step surface immediately as a feasibility or potential
-violation instead of hiding inside a batch.
-
-Each of those checks visits only the pairs that can have changed since the
-previous one, and still decides feasibility of every pair.  The replay builds
-its sets itself, so two requests in one set were joined by exactly one merge,
-which froze their pair at its value then; a merge therefore moves no pair's
-value, and neither do arrivals and matches.  A growth event raises the
-potentials of the grown set's members, which changes exactly the pairs with
-one end inside the set and one outside: those were never in a common set, so
-they read the potentials.  A pair becomes checkable when its later end
-arrives.  Budgets never change.  So after a growth event the replay checks
-the grown set's cross pairs plus every pair of a request that arrived since
-the previous check, and at a settled instant only the latter; every other
-arrived pair has the value and budget with which it passed.  When a checked
-pair is over budget, the full sweep runs and reports the lexicographically
-first pair over budget, exactly as a full sweep after every event would.
+Dual feasibility is checked once, where the replay stops: at the end or at
+the first failure of any other check.  Values only rise (growth needs ``from
+< to``, a merge freezes a pair, an inactive set never grows) and budgets are
+fixed, so a pair within budget there was within budget after every earlier
+event.  Float mode tests ``value <= cost + EPS_TIGHT * max(1, cost)``, which
+implies ``leq`` for every value up to it.  If a pair fails, the reference
+replay (``per_event``) reruns the input with a full sweep after every growth
+event and settle, and its report, naming the first breach, stands.
 """
 
 from __future__ import annotations
@@ -71,7 +57,7 @@ from math import gcd
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
 from .instance import Instance, surplus
-from .scalars import Scalar, dump_scalar, eq, is_scalar, leq
+from .scalars import EPS_TIGHT, Scalar, dump_scalar, eq, is_scalar, leq
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
@@ -180,8 +166,9 @@ class _RSet:
 
 
 class _Replay:
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, per_event=False):
         self.inst = inst
+        self.per_event = per_event  # the reference: a full sweep after each growth and settle
         self.mode = inst.mode
         n = len(inst.requests)
         budgets = inst.budgets  # shared: read here, replaced by ``_rescale``
@@ -205,11 +192,6 @@ class _Replay:
         self.applied = 0  # events applied so far: the cursor of ``feed``
         self.settled = 0  # ``applied`` at the last settle
         self.cost = budgets.cost
-        self.incident = [[] for _ in range(n)]  # u -> [(w, cost)] over u's eligible pairs
-        for (u, v), c in self.cost.items():
-            self.incident[u].append((v, c))
-            self.incident[v].append((u, c))
-        self.fresh = []  # requests arrived since the last feasibility check
 
     # -- scaled values ---------------------------------------------------------
 
@@ -237,7 +219,6 @@ class _Replay:
         self.potential = [p * k for p in self.potential]
         self.frozen = {key: x * k for key, x in self.frozen.items()}
         self.cost = {key: c * k for key, c in self.cost.items()}
-        self.incident = [[(w, c * k) for w, c in row] for row in self.incident]
         for rec in self.sets:
             rec.y *= k
             rec.growth_end *= k
@@ -307,7 +288,6 @@ class _Replay:
         sid = len(self.sets)
         self.sets.append(_RSet(sid, frozenset({u}), 1, self._clock, self.zero))
         self.assign[u] = sid
-        self.fresh.append(u)
 
     def _ev_grow(self, ev):
         sid = ev.payload.get("set")
@@ -344,9 +324,8 @@ class _Replay:
         potential = self.potential
         for u in rec.members:
             potential[u] += delta
-        # Immediate feasibility check: a single inflated growth step must not
-        # survive until the end of its batch.
-        self._check_feasibility(rec.members, f"over budget after growth of set {sid}")
+        if self.per_event:
+            self._sweep_feasibility(f"over budget after growth of set {sid}")
 
     def _ev_tight(self, ev):
         u, v = ev.payload.get("u"), ev.payload.get("v")
@@ -449,7 +428,8 @@ class _Replay:
         self._check_partition()
         self._check_surplus()
         self._check_potential()
-        self._check_feasibility()
+        if self.per_event:
+            self._sweep_feasibility("exceeds its budget")
 
     def _check_partition(self):
         seen = set()
@@ -505,49 +485,27 @@ class _Replay:
                     waited=bound,
                 )
 
-    def _check_feasibility(self, grown=frozenset(), breach="exceeds its budget"):
-        """Every arrived eligible pair within budget, after the members of
-        ``grown`` grew; the first pair over budget is reported as ``breach``."""
-        if not self._changed_pairs_feasible(grown):
-            self._sweep_feasibility(breach)
-        self.fresh = []
-
-    def _changed_pairs_feasible(self, grown):
-        """Whether the pairs that can have changed since the last check are
-        within budget: the cross pairs of ``grown`` and every pair of a
-        request arrived since then (the module docstring has the argument).
-        A value above its budget consults the tolerance rule of ``leq``."""
-        assign, potential, mode = self.assign, self.potential, self.mode
-        for u in grown:
-            pu = potential[u]
-            for w, c in self.incident[u]:
-                x = pu + potential[w]
-                if x > c and w not in grown and assign[w] is not None and not leq(x, c, mode):
-                    return False
-        for u in self.fresh:  # may already share a set, hence pair_value
-            for w, c in self.incident[u]:
-                if assign[w] is not None:
-                    x = self.pair_value(u, w)
-                    if x > c and not leq(x, c, mode):
-                        return False
-        return True
+    def within_budgets(self):
+        """The stop sweep: every arrived pair within its stop bound."""
+        return self._first_over_budget(lambda x, c: self.scale is None and x <= c + EPS_TIGHT * max(1.0, c)) is None
 
     def _sweep_feasibility(self, breach):
+        if over := self._first_over_budget(lambda x, c: leq(x, c, self.mode)):
+            u, v, x, c = over
+            value, budget = self.external(x), self.external(c)
+            self._fail("dual-feasibility", f"pair ({u}, {v}) {breach}", u=u, v=v, value=value, budget=budget)
+
+    def _first_over_budget(self, admits):
+        """The first arrived (u, v, value, budget) over budget, unless ``admits``."""
         assign, potential, frozen = self.assign, self.potential, self.frozen
         for key, c in self.cost.items():
             u, v = key
             if assign[u] is None or assign[v] is None:
                 continue
             x = frozen[key] if key in frozen else potential[u] + potential[v]
-            if x > c and not leq(x, c, self.mode):
-                self._fail(
-                    "dual-feasibility",
-                    f"pair ({u}, {v}) {breach}",
-                    u=u,
-                    v=v,
-                    value=self.external(x),
-                    budget=self.external(c),
-                )
+            if x > c and not admits(x, c):
+                return u, v, x, c
+        return None
 
     # -- endgame ---------------------------------------------------------------
 
@@ -738,15 +696,29 @@ def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
     return check
 
 
-def _certify(inst: Instance, events, result=None):
-    replay = _Replay(inst)
+def _drive(replay, events, end, result=None):
+    """Feed ``events`` to ``replay``, then settle the last instant or, with
+    ``end``, run the endgame and, given the run's ``result``, the
+    cross-check.  Returns the first violation's report, or None."""
     try:
         replay.feed(events)
-        replay.finish()
-        if result is not None:
-            _cross_check(replay, result)
+        if not end:
+            replay._settle()
+        else:
+            replay.finish()
+            if result is not None:
+                _cross_check(replay, result)
     except _Violation as exc:
         return exc.report
+
+
+def _certify(inst: Instance, events, result=None):
+    replay = _Replay(inst)
+    report = _drive(replay, events, True, result)
+    if not replay.within_budgets():
+        report = _drive(_Replay(inst, per_event=True), events, True, result)
+    if report is not None:
+        return report
     return DualCertificate(
         mode=inst.mode,
         m=inst.m,

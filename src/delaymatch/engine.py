@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .instance import Instance, surplus
+from .instance import Instance, require_finite_budgets, surplus
 from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar, eq, parse_scalar
 
 GROWING = "active-growing"
@@ -166,8 +166,9 @@ class GreedyDualEngine:
 
     With ``self_check=True`` every step feeds its events to the certifier's
     replay, which checks the instant the step closed, and the engine's own
-    caches are compared with the replayed state; the first breach raises
-    EngineInvariantError("<property>: <detail>").
+    caches are compared with the replayed state; dual feasibility is swept
+    when the run ends or any check raises, the engine's own guards included.
+    The first breach raises EngineInvariantError("<property>: <detail>").
     """
 
     def __init__(self, inst: Instance, self_check: bool = False):
@@ -186,6 +187,7 @@ class GreedyDualEngine:
             for j in range(i, len(points)):
                 dist[i][j] = dist[j][i] = inst.metric.distance(p, points[j])
         atimes = [r.atime for r in reqs]
+        require_finite_budgets(self.mode, dist, atimes)
         if self._exact:
             self._zero = Fraction(0)
             self._scale = scale = lcm(*(t.denominator for t in atimes), *(d.denominator for row in dist for d in row))
@@ -435,30 +437,39 @@ class GreedyDualEngine:
         other step (one that changes nothing, or a clock turned NaN by an
         overflow) would repeat forever, so it raises EngineInvariantError
         instead."""
-        ev = self.next_event()
-        if ev is None:
-            return False
-        clock, logged = self.clock, len(self.events)
-        t, kind = ev
-        self.advance_to(t)
-        if kind == ARRIVAL:
-            n = len(self._atime)
-            while self.next_arrival < n and self._atime[self.next_arrival] == self._clock:
-                self._admit(self.next_arrival)
-        self.process_tight()
-        if not (self.clock > clock or self.clock == clock and len(self.events) > logged):
-            raise EngineInvariantError(
-                f"stalled: {kind} event at {t} took the clock from {clock} to {self.clock} "
-                f"and logged {len(self.events) - logged} events"
-            )
-        if self.self_check:
-            self._self_check()
-        return True
+        try:
+            ev = self.next_event()
+            if ev is None:
+                return False
+            clock, logged = self.clock, len(self.events)
+            t, kind = ev
+            self.advance_to(t)
+            if kind == ARRIVAL:
+                n = len(self._atime)
+                while self.next_arrival < n and self._atime[self.next_arrival] == self._clock:
+                    self._admit(self.next_arrival)
+            self.process_tight()
+            if not (self.clock > clock or self.clock == clock and len(self.events) > logged):
+                raise EngineInvariantError(
+                    f"stalled: {kind} event at {t} took the clock from {clock} to {self.clock} "
+                    f"and logged {len(self.events) - logged} events"
+                )
+            if self.self_check:
+                self._self_check()
+            return True
+        except EngineInvariantError as exc:
+            raise self._breach() or exc from None
 
     def run(self) -> RunResult:
         while self.step():
             pass
-        return self._result()
+        try:
+            result = self._result()
+        except EngineInvariantError as exc:
+            raise self._breach() or exc from None
+        if breach := self._breach():
+            raise breach
+        return result
 
     def _result(self) -> RunResult:
         inst = self.inst
@@ -500,19 +511,14 @@ class GreedyDualEngine:
         events it has not seen, and settle the instant the step closed, or,
         given the finished ``result``, run the replay's endgame and summary
         checks.  Then compare the engine caches a replay cannot see.  The
-        first breach raises EngineInvariantError."""
-        from .certify import _cross_check, _Violation
+        first breach raises EngineInvariantError; ``_breach`` sweeps dual
+        feasibility."""
+        from .certify import _drive
 
         replay = self._replay
-        try:
-            replay.feed(self.events)
-            if result is None:
-                replay._settle()
-            else:
-                replay.finish()
-                _cross_check(replay, result)
-        except _Violation as exc:
-            raise EngineInvariantError(str(exc)) from None
+        self._fed, self._ended = len(self.events), result  # for the reference replay in ``_breach``
+        if report := _drive(replay, self.events, result is not None, result):
+            raise EngineInvariantError(f"{report.prop}: {report.detail}")
         arrived, assign, live = self.next_arrival, replay.assign, self.live_pairs
         # The live pairs must be the eligible pairs u < v < arrived whose ends
         # sit in different replayed sets, each listed once.  So every live
@@ -543,6 +549,17 @@ class GreedyDualEngine:
                 raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
             if self._grows[u] != bool(replay.sets[assign[u]].free):
                 raise EngineInvariantError(f"growth-flag: request {u}: cached flag disagrees with set {assign[u]}")
+
+    def _breach(self):
+        """Under self-check, the stop sweep, made when the run ends or any
+        check raises: if it fails, the error to raise in place of any other,
+        the report of a reference replay rerun over the replay's input."""
+        if not self.self_check or self._replay.within_budgets():
+            return None
+        from .certify import _drive, _Replay
+
+        report = _drive(_Replay(self.inst, per_event=True), self.events[: self._fed], self._ended is not None, self._ended)
+        return None if report is None else EngineInvariantError(f"{report.prop}: {report.detail}")
 
 
 def run(inst: Instance, self_check: bool = False) -> RunResult:

@@ -79,6 +79,7 @@ class Instance:
         # dist[i][j] for j <= i: one distance per pair of distinct positions.
         dist = [[distance(p, q) for q in points[: i + 1]] for i, p in enumerate(points)]
         atime, scale = [r.atime for r in reqs], None
+        require_finite_budgets(self.mode, dist, atime)
         if self.mode == EXACT:
             scale = lcm(*{t.denominator for t in atime}, *{d.denominator for row in dist for d in row})
             dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
@@ -106,6 +107,13 @@ class Budgets:
     def value(self, x) -> Scalar:
         """The value a sum ``x`` of this table's entries stands for."""
         return x if self.scale is None else Fraction(x, self.scale)
+
+
+def require_finite_budgets(mode, dist, atimes) -> None:
+    """Refuse float budgets that may overflow: a budget is at most the largest
+    distance in the rows ``dist`` plus the arrival span."""
+    if mode != EXACT and atimes and not is_scalar(max(map(max, dist)) + (atimes[-1] - atimes[0]), mode):
+        raise InstanceError("float budgets overflow: the largest distance plus the arrival span exceeds binary64 range")
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +26,7 @@ from delaymatch.engine import (
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
-from delaymatch.scalars import EXACT
+from delaymatch.scalars import EXACT, FLOAT
 
 LINE = {"kind": "line"}
 
@@ -147,6 +146,78 @@ def test_double_match_is_caught(tight4):
     verdict = certify_events(inst, events + [events[idx]])
     assert not verdict.ok
     assert verdict.prop in ("matching-validity", "trace-shape")
+
+
+def _move_instant(events, t, new):
+    """``events`` with every event at time ``t``, and the end of every growth
+    interval there, moved to ``new``."""
+    out = []
+    for ev in events:
+        if ev.t == t:
+            payload = {**ev.payload, "to": new} if ev.kind == GROW else ev.payload
+            ev = EventRecord(t=new, kind=ev.kind, payload=payload)
+        out.append(ev)
+    return out
+
+
+def test_feasibility_breach_is_reported_before_a_later_violation(tight4, monkeypatch):
+    # The first tight instant, moved late: the second growth event there
+    # takes pair (0, 1) over budget, and the tight event after it fails
+    # marked-tightness.  The breach comes first and is reported at its event.
+    inst, res = tight4
+    events = list(res.event_log)
+    tight = next(i for i, e in enumerate(events) if e.kind == TIGHT)
+    late = _move_instant(events, events[tight].t, events[tight].t + Fraction(1, 100))
+    verdict = certify_events(inst, late)
+    assert (verdict.prop, verdict.event_index) == ("dual-feasibility", tight - 1)
+    assert verdict.detail == "pair (0, 1) over budget after growth of set 1"
+    # With no sweep where the replay stops, the later violation would stand.
+    monkeypatch.setattr(_Replay, "within_budgets", lambda self: True)
+    later = certify_events(inst, late)
+    assert (later.prop, later.event_index) == ("marked-tightness", tight)
+
+
+def _float_pair(distance):
+    """Two float line requests at time 0, ``distance`` apart: they go tight
+    at ``distance / 2``, and the trace ends there."""
+    inst = make_instance(MPMD, LINE, [(0.0, 0.0, 0), (distance, 0.0, 0)], mode=FLOAT)
+    return inst, list(run(inst).event_log)
+
+
+@pytest.mark.parametrize("late", [2.0**-33, 2.0**-20], ids=["1.2e-10", "9.5e-7"])
+def test_float_overshoot_is_judged_by_the_tolerance(late):
+    # Moving the tight instant ``late`` puts pair (0, 1) over its budget 1 by
+    # twice that: within ``leq``'s tolerance 1e-9 it certifies, beyond it the
+    # breach is reported at the growth event that made it.
+    inst, events = _float_pair(1.0)
+    verdict = certify_events(inst, _move_instant(events, 0.5, 0.5 + late))
+    if 2 * late <= 1e-9:
+        assert verdict.ok, verdict.to_json()
+        assert verdict.min_slack == -2 * late
+    else:
+        assert (verdict.prop, verdict.event_index) == ("dual-feasibility", 3)
+        assert verdict.detail == "pair (0, 1) over budget after growth of set 1"
+
+
+def test_float_value_within_leq_but_above_the_stop_bound_certifies(monkeypatch):
+    # Budget c and value x: x is the float just above the stop bound
+    # c + EPS_TIGHT * c, and ``leq``'s bound c + EPS_TIGHT * x still admits it.
+    c, x = 289742439.9759606, 289742440.2657031
+    assert x > c + 1e-9 * c and x <= c + 1e-9 * x
+    # Requests 0 and 1 grow to x and go tight, 2x apart; 2 and 3 match at
+    # once, far from both.  Certified against 2 and 3 at distance c from
+    # request 0, pairs (0, 2) and (0, 3) end at value x over budget c.
+    far = [(0.0, 0.0, 0), (2 * x, 0.0, 0), (-1e10, 0.0, 0), (-1e10, 0.0, 0)]
+    near = far[:2] + [(c, 0.0, 0), (c, 0.0, 0)]
+    events = list(run(make_instance(MPMD, LINE, far, mode=FLOAT)).event_log)
+    inst = make_instance(MPMD, LINE, near, mode=FLOAT)
+    assert inst.budgets.cost[0, 2] == c and events[-1].t == x
+    sweeps, sweep = [], _Replay._sweep_feasibility
+    monkeypatch.setattr(_Replay, "_sweep_feasibility", lambda self, breach: (sweeps.append(breach), sweep(self, breach)))
+    verdict = certify_events(inst, events)
+    assert verdict.ok, verdict.to_json()
+    assert verdict.min_slack == c - x
+    assert sweeps  # the stop sweep failed, so the per-event reference ran
 
 
 def test_tampered_summary_is_caught(tight4):
@@ -312,13 +383,6 @@ def test_certifier_covers_all_generator_families():
         assert cert.ok, cert.to_json()
 
 
-class _FullSweepReplay(_Replay):
-    """The replay with every feasibility check made by the full sweep."""
-
-    def _changed_pairs_feasible(self, grown):
-        return False
-
-
 def _tampered_traces(events, bump):
     """Every single-edit variant of ``events`` in the differential corpus."""
     for i in range(len(events)):
@@ -385,16 +449,16 @@ def test_clean_certificates_match_the_pinned_rational_replay():
     assert _digest(docs) == "25ff8cebbb153466c5919f6ac7fc600d7ab8fda0c4057194bfeaf8a45b0e52ef"
 
 
-def test_incremental_feasibility_matches_full_sweep(differential, monkeypatch):
-    """The replay's incremental feasibility check returns the same verdict
-    (property, detail, witness, event index) as a full sweep after every
-    growth event and at every settled instant, on clean and tampered
-    traces."""
-    traces, incremental = differential
-    # The package's ``certify`` function shadows the module's attribute name.
-    monkeypatch.setattr(importlib.import_module("delaymatch.certify"), "_Replay", _FullSweepReplay)
-    full = [certify_events(inst, events).to_json() for inst, events in traces]
-    assert incremental == full
-    props = [v.get("property") for v in full]
+def test_stop_sweep_verdicts_match_the_per_event_reference(differential, monkeypatch):
+    """Feasibility checked once where the replay stops gives the same verdict
+    (property, detail, witness, event index) as the reference replay, which
+    sweeps every pair after each growth event and at each settled instant,
+    on clean and tampered traces."""
+    traces, stop_sweep = differential
+    # A stop sweep that always fails sends every trace to the reference.
+    monkeypatch.setattr(_Replay, "within_budgets", lambda self: False)
+    reference = [certify_events(inst, events).to_json() for inst, events in traces]
+    assert stop_sweep == reference
+    props = [v.get("property") for v in reference]
     assert props.count("dual-feasibility") > 0
-    assert sum(1 for v in full if not v["ok"]) > len(full) // 2
+    assert sum(1 for v in reference if not v["ok"]) > len(reference) // 2

@@ -311,15 +311,18 @@ def test_overflowing_distance_is_refused_not_printed(tmp_path):
     far = '{"pos": -1e308, "atime": 0}, {"pos": 1e308, "atime": 0}'
     pair = tmp_path / "pair.json"
     pair.write_text(_float_doc('{"kind": "line"}', f"[{far}]"))
-    # The clock goes inf and then NaN; the run stops instead of spinning.
-    proc = run_cli("run", str(pair), timeout=10)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("delaymatch: property violation: stalled: ")
-    _assert_input_error(run_cli("opt", str(pair), timeout=10))
-    # With a near pair first, the run finishes at an infinite clock: neither
-    # its summary nor its trace can be written as JSON.
+    # Refused before the first event, where the clock would go to inf and
+    # then NaN.
+    refused = "delaymatch: error: float budgets overflow: "
+    for args in (["run", str(pair)], ["opt", str(pair)]):
+        proc = run_cli(*args, timeout=10)
+        _assert_input_error(proc)
+        assert proc.stderr.startswith(refused), proc.stderr
+    # With a near pair first, the run would end at an infinite clock.
     four = tmp_path / "four.json"
     near = '{"pos": 0, "atime": 1}, {"pos": 1, "atime": 2}'
     four.write_text(_float_doc('{"kind": "line"}', f"[{far}, {near}]"))
-    for args in (["run", str(four)], ["run", str(four), "--trace", "-"], ["opt", str(four)]):
-        _assert_input_error(run_cli(*args, timeout=10))
+    for args in (["run", str(four)], ["run", str(four), "--trace", "-"], ["run", str(four), "--self-check"], ["opt", str(four)]):
+        proc = run_cli(*args, timeout=10)
+        _assert_input_error(proc)
+        assert proc.stderr.startswith(refused), proc.stderr

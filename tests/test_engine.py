@@ -16,7 +16,7 @@ from delaymatch.engine import (
 )
 from delaymatch.certify import certify
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
-from delaymatch.instance import MBPMD, MPMD, make_instance
+from delaymatch.instance import MBPMD, MPMD, InstanceError, make_instance
 from delaymatch.metric import EuclideanMetric
 from delaymatch.scalars import FLOAT
 
@@ -237,13 +237,18 @@ def test_step_without_progress_raises_instead_of_spinning():
     assert stalled > 0
 
 
-def test_overflowing_budget_raises_stalled_instead_of_spinning():
-    # Finite positions whose distance overflows: the budget is inf, so the
-    # clock goes to inf and then to NaN, which is no progress.
-    inst = make_instance(MPMD, LINE, [(-1e308, 0, 0), (1e308, 0, 0)], mode=FLOAT)
-    eng = GreedyDualEngine(inst)
-    with pytest.raises(EngineInvariantError, match="^stalled: ") as exc:
-        for _ in range(10):
-            if not eng.step():
-                break
-    assert "logged nothing" not in str(exc.value)  # the step did log events
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [(-1e308, 0, 0), (1e308, 0, 0)],  # the clock would go to inf, then NaN
+        [(-1e308, 0, 0), (1e308, 0, 0), (0, 1, 0), (1, 2, 0)],  # the run would end at an infinite clock
+    ],
+    ids=["far-pair", "far-and-near-pairs"],
+)
+def test_overflowing_budget_is_refused_before_the_first_event(triples):
+    # Finite positions whose distance overflows binary64: the budget is inf.
+    inst = make_instance(MPMD, LINE, triples, mode=FLOAT)
+    refused = "^float budgets overflow: the largest distance plus the arrival span exceeds binary64 range$"
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+        with pytest.raises(InstanceError, match=refused):
+            build()

@@ -7,7 +7,7 @@ moving backwards) do not count as a catch."""
 import pytest
 
 from delaymatch.certify import _Replay, certify
-from delaymatch.engine import GROW, MATCH, MERGE, EngineInvariantError, GreedyDualEngine
+from delaymatch.engine import GROW, MATCH, MERGE, TIGHT, EngineInvariantError, GreedyDualEngine
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD
 
@@ -174,6 +174,82 @@ class UnarrivedLivePair(_LivePairsFault):
 LIVE_PAIR_BUGS = (DroppedLivePair, DuplicatedLivePair, InternalLivePair, UnarrivedLivePair)
 
 
+class OvershotTight(GreedyDualEngine):
+    """Once, returns from ``next_event`` a tight time a quarter of the gap
+    past the predicted one, when no arrival comes first."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._done = False
+
+    def next_event(self):
+        ev = super().next_event()
+        if ev is None or ev[1] != TIGHT or self._done:
+            return ev
+        late = ev[0] + (ev[0] - self.clock) / 4
+        if self.next_arrival < len(self.inst.requests) and self.inst.requests[self.next_arrival].atime <= late:
+            return ev
+        self._done = True
+        return late, TIGHT
+
+
+class HiddenPair(GreedyDualEngine):
+    """Keeps the first live pair out of the event search and the tight scan,
+    so the engine lets it pass its budget."""
+
+    hidden = None
+
+    def _least_tight_key(self):
+        live = self.live_pairs
+        if self.hidden is None and live:
+            self.hidden = live[0]
+        self.live_pairs = [p for p in live if p != self.hidden]
+        key = super()._least_tight_key()
+        self.live_pairs = live
+        return key
+
+    def process_tight(self):
+        hidden = self.hidden in self.live_pairs
+        self.live_pairs = [p for p in self.live_pairs if p != self.hidden]
+        super().process_tight()
+        if hidden and self.assign[self.hidden[0]] != self.assign[self.hidden[1]]:
+            self.live_pairs.append(self.hidden)
+
+
+# What a feasibility sweep after every growth event reports for each CORPUS
+# instance (None: the run completes).
+OVERSHOT_TIGHT = {
+    0: "dual-feasibility: pair (0, 2) over budget after growth of set 3",
+    1: "dual-feasibility: pair (0, 2) over budget after growth of set 3",
+    2: None,
+    3: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+    4: "dual-feasibility: pair (0, 3) over budget after growth of set 3",
+    5: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+    6: "dual-feasibility: pair (0, 3) over budget after growth of set 3",
+    7: "dual-feasibility: pair (0, 3) over budget after growth of set 4",
+    8: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+    9: "dual-feasibility: pair (0, 2) over budget after growth of set 2",
+    10: "dual-feasibility: pair (1, 2) over budget after growth of set 2",
+    11: "dual-feasibility: pair (1, 2) over budget after growth of set 2",
+    12: "dual-feasibility: pair (2, 3) over budget after growth of set 3",
+}
+HIDDEN_PAIR = {
+    0: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+    1: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+    2: None,
+    3: "dual-feasibility: pair (0, 1) over budget after growth of set 0",
+    4: "dual-feasibility: pair (0, 3) over budget after growth of set 0",
+    5: "dual-feasibility: pair (0, 1) over budget after growth of set 0",
+    6: "dual-feasibility: pair (0, 3) over budget after growth of set 0",
+    7: None,
+    8: "dual-feasibility: pair (0, 1) over budget after growth of set 0",
+    9: "dual-feasibility: pair (0, 1) over budget after growth of set 8",
+    10: "dual-feasibility: pair (0, 1) over budget after growth of set 0",
+    11: None,
+    12: "dual-feasibility: pair (0, 1) over budget after growth of set 1",
+}
+
+
 def test_clean_engine_passes_its_self_check():
     for inst in CORPUS:
         GreedyDualEngine(inst, self_check=True).run()
@@ -207,6 +283,28 @@ def test_self_check_catches_wrong_live_pairs(bug):
         else:
             wrong.append((i, "ran to completion"))
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize(
+    "bug, expected",
+    [(OvershotTight, OVERSHOT_TIGHT), (HiddenPair, HIDDEN_PAIR)],
+    ids=["OvershotTight", "HiddenPair"],
+)
+def test_self_check_names_a_breach_as_a_per_event_sweep_does(bug, expected):
+    """Both bugs put a pair over budget where no other replay check fails at
+    once.  After an overshot tight time the engine's next prediction lies
+    behind its clock, so its own guard raises first; a hidden pair mostly
+    goes unseen until the run ends.  The self-check sweeps feasibility when
+    the run ends or any check raises, guards included, and names the breach
+    as a sweep after every growth event does."""
+    reported = {}
+    for i, inst in enumerate(CORPUS):
+        try:
+            bug(inst, self_check=True).run()
+            reported[i] = None
+        except EngineInvariantError as exc:
+            reported[i] = str(exc)
+    assert reported == expected
 
 
 @pytest.mark.parametrize(
