@@ -21,10 +21,17 @@ relative tolerance rule of ``scalars``.
 
 A run is single-threaded and deterministic: ``step`` admits every arrival of
 an instant in index order, then scans once for tight pairs, which merge in
-lexicographic order.  ``live_pairs`` holds only eligible pairs whose
-endpoints sit in different active sets; sets only merge, so a pair that
-becomes internal is dropped for good.  The event log is the one record of
-each set's growth intervals; ``SetRecord`` keeps only their sum ``y``.
+lexicographic order.  The scans visit only the *candidates* of each pair of
+active sets {A, B}: the eligible pairs between them whose slack is within a
+band of the least slack between them.  Every member of a set gains the same
+dual value, so the pairs of {A, B} lose slack at one rate and keep their
+order; the first of them to go tight merges A and B, and the others then
+never cross again.  The band is 0 in exact mode, which keeps ties, and twice
+a pair's tightness tolerance in float mode, where rounding may reorder pairs
+that close.  Candidates are grouped by set when a request arrives; a merge of
+A and B into C folds {A, X} and {B, X} into {C, X}, which keeps the band of
+their union, and drops {A, B}.  The event log is the one record of each set's
+growth intervals; ``SetRecord`` keeps only their sum ``y``.
 """
 
 from __future__ import annotations
@@ -56,6 +63,32 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     """How many eligible pairs join the given numbers of requests of each
     polarity."""
     return positive * negative + neutral * (neutral - 1) // 2
+
+
+def _band(cands: list, pot: list, eps) -> list:
+    """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
+    potentials ``pot`` is at most the least slack plus twice their own float
+    tolerance; ``eps`` is ``EPS_TIGHT``, or 0 in exact mode."""
+    slacks = [c - pot[u] - pot[v] for u, v, c in cands]
+    least = min(slacks)
+    if slacks.count(least) == len(slacks):  # all tied: nothing to trim
+        return cands
+    return [p for p, s in zip(cands, slacks) if s <= least + 2 * (eps * p[2] if p[2] > 1.0 else eps)]
+
+
+class _LivePairs:
+    """Sized view of the eligible pairs among arrived requests whose ends sit
+    in different active sets: its length, counted from the polarities of each
+    active set's members.  The engine keeps only candidates, not these pairs;
+    callers that count them, such as the benchmark's tracer, read this."""
+
+    def __init__(self, polarity: dict):
+        self._polarity = polarity  # active set -> [neutral, positive, negative] member counts
+
+    def __len__(self) -> int:
+        counts = self._polarity.values()
+        totals = [sum(c[i] for c in counts) for i in range(3)]
+        return _eligible_pairs(*totals) - sum(_eligible_pairs(*c) for c in counts)
 
 
 class EngineInvariantError(RuntimeError):
@@ -178,6 +211,7 @@ class GreedyDualEngine:
         reqs = inst.requests
         n = len(reqs)
         self._exact = self.mode == EXACT
+        self._eps = 0 if self._exact else EPS_TIGHT  # the band's tolerance factor
         # Distances over distinct positions only: requests often share them.
         ids = {}
         self._pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
@@ -212,13 +246,17 @@ class GreedyDualEngine:
         self.matching = []  # (u, v, match_time)
         self.matched = [False] * n
         self.events: list[EventRecord] = []
-        # Eligible cross-set pairs among arrived requests, with their scaled
-        # budgets: extended on each arrival, pruned after merges.
-        self.live_pairs = []  # (u, v, budget)
+        # The candidates (u, v, scaled budget), u < v, of each pair of active
+        # sets a < b with an eligible pair between them.
+        self._buckets: dict[tuple, list] = {}
+        self._near: dict[int, set] = {}  # active set -> the sets it shares a bucket with
+        self._polarity: dict[int, list] = {}  # active set -> [neutral, positive, negative] members
+        self.live_pairs = _LivePairs(self._polarity)
         if self_check:
             from .certify import _Replay  # certify imports this module
 
             self._replay = _Replay(inst)
+            self._banded, self._banded_sets = {}, 0  # the last check's buckets, and how many sets it saw
 
     # -- scaled values ----------------------------------------------------
 
@@ -243,7 +281,7 @@ class GreedyDualEngine:
         self.potential = [p * k for p in self.potential]
         self._atime = [t * k for t in self._atime]
         self._dist = [[d * k for d in row] for row in self._dist]
-        self.live_pairs = [(u, v, c * k) for u, v, c in self.live_pairs]
+        self._buckets = {key: [(u, v, c * k) for u, v, c in cands] for key, cands in self._buckets.items()}
 
     # -- event location ---------------------------------------------------
 
@@ -273,16 +311,19 @@ class GreedyDualEngine:
         return None
 
     def _least_tight_key(self):
-        """Least ``2 * slack / r`` over live pairs with r >= 1 growing
+        """Least ``2 * slack / r`` over candidates with r >= 1 growing
         endpoints: twice the time until the first one goes tight."""
         pot, grows, two_over = self.potential, self._grows, _TWO_OVER
         best = None
-        for u, v, cost in self.live_pairs:
-            r = grows[u] + grows[v]
+        for cands in self._buckets.values():
+            u, v, _ = cands[0]
+            r = grows[u] + grows[v]  # the same for every pair of the bucket
             if r:
-                key = (cost - pot[u] - pot[v]) * two_over[r]
-                if best is None or key < best:
-                    best = key
+                f = two_over[r]
+                for u, v, cost in cands:
+                    key = (cost - pot[u] - pot[v]) * f
+                    if best is None or key < best:
+                        best = key
         return best
 
     # -- state transitions ------------------------------------------------
@@ -320,10 +361,36 @@ class GreedyDualEngine:
         self.growing.add(sid)
         self.assign[u] = sid
         self._grows[u] = 1
+        sgn = self._sgn
+        self._polarity[sid] = counts = [0, 0, 0]
+        counts[sgn[u]] = 1
         # Every earlier request sits in another active set: all pairs cross.
-        row, pid, atime, sgn = self._dist[self._pid[u]], self._pid, self._atime, self._sgn
-        au, partner = atime[u], -sgn[u]
-        self.live_pairs += [(v, u, row[pid[v]] + (au - atime[v])) for v in range(u) if sgn[v] == partner]
+        # One pass groups them by set, keeping the pairs within the band of
+        # the least slack so far; the band of the final least trims the rest.
+        row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
+        pot, eps, au, partner = self.potential, self._eps, atime[u], -sgn[u]
+        found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
+        near = self._near
+        near[sid] = sets = set()
+        for v in range(u):
+            if sgn[v] == partner:
+                c = row[pid[v]] + (au - atime[v])
+                s = c - pot[v]  # u's potential is 0
+                x = assign[v]
+                e = found[x]
+                if e is None:
+                    found[x] = [s, (v, u, c)]
+                    sets.add(x)
+                elif s <= e[0]:
+                    e[0] = s
+                    e.append((v, u, c))
+                elif eps and s <= e[0] + 2 * (eps * c if c > 1.0 else eps):
+                    e.append((v, u, c))
+        buckets = self._buckets
+        for x in sets:
+            near[x].add(sid)
+            e = found[x]
+            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, eps)
         self._log(self.clock, ARRIVAL, {"u": u})
 
     def process_tight(self) -> None:
@@ -332,18 +399,9 @@ class GreedyDualEngine:
         One scan per instant: a merge moves no potential, so the pairs tight
         now are the pairs tight after any merge at this instant.  They merge
         in (min index, max index) order, skipping those an earlier merge
-        made internal; then every pair made internal leaves ``live_pairs``.
+        made internal.
         """
-        pot = self.potential
-        if self._exact:
-            tight = [(u, v) for u, v, cost in self.live_pairs if pot[u] + pot[v] == cost]
-        else:
-            # The scalars tolerance rule, with the budget as the magnitude.
-            tight = [
-                (u, v)
-                for u, v, cost in self.live_pairs
-                if pot[u] + pot[v] >= cost - (EPS_TIGHT * cost if cost > 1.0 else EPS_TIGHT)
-            ]
+        tight = self._tight_pairs()
         if not tight:
             return
         tight.sort()
@@ -351,7 +409,19 @@ class GreedyDualEngine:
         for u, v in tight:
             if assign[u] != assign[v]:
                 self._merge(u, v)
-        self.live_pairs = [p for p in self.live_pairs if assign[p[0]] != assign[p[1]]]
+
+    def _tight_pairs(self) -> list:
+        """The candidates that are tight now, as (u, v)."""
+        pot, buckets = self.potential, self._buckets.values()
+        if self._exact:
+            return [(u, v) for cands in buckets for u, v, cost in cands if pot[u] + pot[v] == cost]
+        # The scalars tolerance rule, with the budget as the magnitude.
+        return [
+            (u, v)
+            for cands in buckets
+            for u, v, cost in cands
+            if pot[u] + pot[v] >= cost - (EPS_TIGHT * cost if cost > 1.0 else EPS_TIGHT)
+        ]
 
     def _merge(self, u: int, v: int) -> None:
         a = self.sets[self.assign[u]]
@@ -369,6 +439,7 @@ class GreedyDualEngine:
             child.parent = sid
             self.growing.discard(child.set_id)
         self.sets.append(rec)
+        self._fold(a.set_id, b.set_id, sid)
         self.marked.append((min(u, v), max(u, v), self.clock))
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
@@ -379,6 +450,31 @@ class GreedyDualEngine:
         for w in members:
             self.assign[w] = sid
             self._grows[w] = grows
+
+    def _fold(self, a: int, b: int, c: int) -> None:
+        """Give the new set ``c`` the buckets of its children ``a`` and ``b``:
+        {a, x} and {b, x} become {c, x}, the band of their union, and {a, b}
+        goes."""
+        buckets, near, polarity = self._buckets, self._near, self._polarity
+        pa, pb = polarity.pop(a), polarity.pop(b)
+        polarity[c] = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
+        near_a, near_b = near.pop(a), near.pop(b)
+        if b in near_a:
+            near_a.discard(b)
+            near_b.discard(a)
+            del buckets[a, b]
+        union = {}  # x -> the candidates of {a, x} and {b, x}
+        for child, xs in ((a, near_a), (b, near_b)):
+            for x in xs:
+                near_x = near[x]
+                near_x.discard(child)
+                near_x.add(c)
+                cands = buckets.pop((x, child) if x < child else (child, x))
+                union[x] = union[x] + cands if x in union else cands
+        near[c] = near_a | near_b
+        pot, eps = self.potential, self._eps
+        for x, cands in union.items():
+            buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, eps)
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -519,36 +615,60 @@ class GreedyDualEngine:
         self._fed, self._ended = len(self.events), result  # for the reference replay in ``_breach``
         if report := _drive(replay, self.events, result is not None, result):
             raise EngineInvariantError(f"{report.prop}: {report.detail}")
-        arrived, assign, live = self.next_arrival, replay.assign, self.live_pairs
-        # The live pairs must be the eligible pairs u < v < arrived whose ends
-        # sit in different replayed sets, each listed once.  So every live
-        # pair must be one, with no repeats, and there must be as many as
-        # arrived eligible pairs minus those inside one replayed set; the
-        # counts come from the polarities in each set.
-        counts = {}  # replayed set -> [neutral, positive, negative] arrived members
-        for u in range(arrived):
-            counts.setdefault(assign[u], [0, 0, 0])[self._sgn[u]] += 1
-        arrived_counts = [sum(c[i] for c in counts.values()) for i in range(3)]
-        cross = _eligible_pairs(*arrived_counts) - sum(_eligible_pairs(*c) for c in counts.values())
-        not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
-        if len(live) != cross or len({(u, v) for u, v, _ in live}) != len(live):
-            raise EngineInvariantError(not_cross)
-        eligible, dist, pid, atime = replay.cost, self._dist, self._pid, self._atime
-        wrong_budget = None  # reported only once every pair is a cross pair
-        for u, v, cost in live:
-            if not (u < v < arrived and (u, v) in eligible and assign[u] != assign[v]):
-                raise EngineInvariantError(not_cross)
-            if wrong_budget is None and cost != dist[pid[u]][pid[v]] + abs(atime[u] - atime[v]):
-                wrong_budget = (u, v, cost)
-        if wrong_budget is not None:
-            u, v, cost = wrong_budget
-            raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(cost)}")
+        arrived, assign, buckets = self.next_arrival, replay.assign, self._buckets
         for u in range(arrived):
             cached, replayed = self._external(self.potential[u]), replay.external(replay.potential[u])
             if not eq(cached, replayed, self.mode):
                 raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
             if self._grows[u] != bool(replay.sets[assign[u]].free):
                 raise EngineInvariantError(f"growth-flag: request {u}: cached flag disagrees with set {assign[u]}")
+        # There must be one bucket per pair of replayed active sets with an
+        # eligible pair of arrived requests between them, each listed among
+        # both sets' neighbours, and as many such pairs as ``live_pairs``
+        # counts.
+        members = {}  # replayed set -> its arrived members
+        for u in range(arrived):
+            members.setdefault(assign[u], []).append(u)
+        cost, sets = replay.cost, sorted(members)
+        cross = {}  # (a, b) -> the eligible pairs (u, v, replayed budget) between sets a < b
+        for i, a in enumerate(sets):
+            for b in sets[i + 1 :]:
+                keys = ((x, y) if x < y else (y, x) for x in members[a] for y in members[b])
+                if pairs := [(*k, cost[k]) for k in keys if k in cost]:
+                    cross[a, b] = pairs
+        near = {(a, x) if a < x else (x, a) for a, xs in self._near.items() for x in xs}
+        not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
+        if (
+            buckets.keys() != cross.keys()
+            or self._near.keys() != members.keys()
+            or near != cross.keys()
+            or len(self.live_pairs) != sum(map(len, cross.values()))
+        ):
+            raise EngineInvariantError(not_cross)
+        # Each candidate must be one of its bucket's pairs, listed once.
+        for key, cands in buckets.items():
+            pairs = {(u, v) for u, v, _ in cross[key]}
+            if len({(u, v) for u, v, _ in cands} & pairs) != len(cands):
+                raise EngineInvariantError(not_cross)
+        dist, pid, atime = self._dist, self._pid, self._atime
+        for cands in buckets.values():
+            for u, v, c in cands:
+                if c != dist[pid[u]][pid[v]] + abs(atime[u] - atime[v]):
+                    raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(c)}")
+        # And each bucket must hold the least-slack band of its pairs as it
+        # stood when the bucket was built, at the step that made its newer
+        # set.  Float rounding may later move a pair across the edge of its
+        # band, so an older bucket must hold what the last check saw.
+        banded, old = {}, self._banded_sets
+        for key, cands in buckets.items():
+            banded[key] = {(u, v) for u, v, _ in cands}
+            if key[1] < old:
+                band = self._banded.get(key)
+            else:
+                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._eps)}
+            if banded[key] != band:
+                raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
+        self._banded, self._banded_sets = banded, len(replay.sets)
 
     def _breach(self):
         """Under self-check, the stop sweep, made when the run ends or any

@@ -111,9 +111,20 @@ class Budgets:
 
 def require_finite_budgets(mode, dist, atimes) -> None:
     """Refuse float budgets that may overflow: a budget is at most the largest
-    distance in the rows ``dist`` plus the arrival span."""
-    if mode != EXACT and atimes and not is_scalar(max(map(max, dist)) + (atimes[-1] - atimes[0]), mode):
+    distance in the rows ``dist`` plus the arrival span.  Refuse too a float
+    clock that may overflow: the engine locates the next tight time as twice
+    the clock plus twice the time left, and once every request has arrived
+    that sum is at most twice the last arrival time plus the budget bound
+    (arrival times are sorted and not negative)."""
+    if mode == EXACT or not atimes:
+        return
+    bound = max(map(max, dist)) + (atimes[-1] - atimes[0])
+    if not is_scalar(bound, mode):
         raise InstanceError("float budgets overflow: the largest distance plus the arrival span exceeds binary64 range")
+    if not is_scalar(2 * atimes[-1] + bound, mode):
+        raise InstanceError(
+            "float clock overflow: twice the largest |arrival time| plus the budget bound exceeds binary64 range"
+        )
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:

@@ -326,3 +326,20 @@ def test_overflowing_distance_is_refused_not_printed(tmp_path):
         proc = run_cli(*args, timeout=10)
         _assert_input_error(proc)
         assert proc.stderr.startswith(refused), proc.stderr
+
+
+def test_overflowing_clock_is_refused_not_printed(tmp_path):
+    # Every budget is finite, but the tight time after the last arrival,
+    # located as twice the clock plus twice the time left, would be inf.
+    late = tmp_path / "late.json"
+    late.write_text(
+        _float_doc(
+            '{"kind": "line"}',
+            '[{"pos": 0, "atime": 0}, {"pos": 0, "atime": 0}, {"pos": 0, "atime": 1e308}, {"pos": 1, "atime": 1e308}]',
+        )
+    )
+    refused = "delaymatch: error: float clock overflow: "
+    for args in (["run", str(late)], ["run", str(late), "--self-check"], ["opt", str(late)]):
+        proc = run_cli(*args, timeout=10)
+        _assert_input_error(proc)
+        assert proc.stderr.startswith(refused), proc.stderr

@@ -252,3 +252,19 @@ def test_overflowing_budget_is_refused_before_the_first_event(triples):
     for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
         with pytest.raises(InstanceError, match=refused):
             build()
+
+
+def test_overflowing_clock_is_refused_before_the_first_event():
+    # Every budget is finite, but after the arrivals at 1e308 the next tight
+    # time, located as twice the clock plus twice the time left, is inf.
+    inst = make_instance(MPMD, LINE, [(0, 0, 0), (0, 0, 0), (0, 1e308, 0), (1, 1e308, 0)], mode=FLOAT)
+    refused = (
+        "^float clock overflow: twice the largest [|]arrival time[|] plus the budget bound exceeds binary64 range$"
+    )
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+        with pytest.raises(InstanceError, match=refused):
+            build()
+    # Late arrivals that stay inside the bound run to the end.
+    a, d = 2.0**1021, 2.0**1020
+    inside = make_instance(MPMD, LINE, [(0, 0, 0), (0, 0, 0), (0, a, 0), (d, a, 0)], mode=FLOAT)
+    assert run(inside, self_check=True).matching == ((0, 1, 0.0), (2, 3, a + d / 2))
