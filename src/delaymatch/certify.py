@@ -43,10 +43,13 @@ Dual feasibility is checked once, where the replay stops: at the end or at
 the first failure of any other check.  Values only rise (growth needs ``from
 < to``, a merge freezes a pair, an inactive set never grows) and budgets are
 fixed, so a pair within budget there was within budget after every earlier
-event.  Float mode tests ``value <= cost + EPS_TIGHT * max(1, cost)``, which
-implies ``leq`` for every value up to it.  If a pair fails, the reference
-replay (``per_event``) reruns the input with a full sweep after every growth
-event and settle, and its report, naming the first breach, stands.
+event.  A pair is judged against its budget by the budget-pair form of the
+tolerance rule stated in ``scalars``, the form the engine's tightness test
+uses: in float mode, within budget is ``value <= cost + tol(cost)``, and a
+tight pair must also reach ``cost - tol(cost)``.  If a pair fails, the
+reference replay (``per_event``) reruns the input with a full sweep after
+every growth event and settle, and its report, naming the first breach,
+stands.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from math import gcd
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
 from .instance import Instance, surplus
-from .scalars import EPS_TIGHT, Scalar, dump_scalar, eq, is_scalar, leq
+from .scalars import Scalar, dump_scalar, eq, is_scalar, leq, tol
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
@@ -341,7 +344,7 @@ class _Replay:
         if self.assign[u] == self.assign[v]:
             self._fail("trace-shape", f"tight pair ({u}, {v}) lies inside one active set", u=u, v=v)
         value, cost = self.pair_value(u, v), self.cost[key]
-        if not eq(value, cost, self.mode):
+        if not self._at_budget(value, cost):
             value, cost = self.external(value), self.external(cost)
             self._fail(
                 "marked-tightness",
@@ -485,25 +488,34 @@ class _Replay:
                     waited=bound,
                 )
 
+    def _at_budget(self, x, c):
+        """Whether a pair of value ``x`` is tight at its budget ``c``: equal in
+        exact mode, within ``tol(c)`` of it in float mode (see ``scalars``)."""
+        if self.scale is not None:
+            return x == c
+        t = tol(c)
+        return c - t <= x <= c + t
+
     def within_budgets(self):
-        """The stop sweep: every arrived pair within its stop bound."""
-        return self._first_over_budget(lambda x, c: self.scale is None and x <= c + EPS_TIGHT * max(1.0, c)) is None
+        """The stop sweep: every arrived pair within its budget."""
+        return self._first_over_budget() is None
 
     def _sweep_feasibility(self, breach):
-        if over := self._first_over_budget(lambda x, c: leq(x, c, self.mode)):
+        if over := self._first_over_budget():
             u, v, x, c = over
             value, budget = self.external(x), self.external(c)
             self._fail("dual-feasibility", f"pair ({u}, {v}) {breach}", u=u, v=v, value=value, budget=budget)
 
-    def _first_over_budget(self, admits):
-        """The first arrived (u, v, value, budget) over budget, unless ``admits``."""
-        assign, potential, frozen = self.assign, self.potential, self.frozen
+    def _first_over_budget(self):
+        """The first arrived (u, v, value, budget) over budget: beyond it in
+        exact mode, beyond ``c + tol(c)`` in float mode (see ``scalars``)."""
+        assign, potential, frozen, exact = self.assign, self.potential, self.frozen, self.scale is not None
         for key, c in self.cost.items():
             u, v = key
             if assign[u] is None or assign[v] is None:
                 continue
             x = frozen[key] if key in frozen else potential[u] + potential[v]
-            if x > c and not admits(x, c):
+            if x > c and (exact or x > c + tol(c)):
                 return u, v, x, c
         return None
 
@@ -571,7 +583,7 @@ class _Replay:
         for u, v, _ in self.marked:
             key = (u, v)
             value, cost = self.frozen.get(key), self.cost[key]
-            if value is None or not eq(value, cost, self.mode):
+            if value is None or not self._at_budget(value, cost):
                 self._fail(
                     "marked-tightness",
                     f"marked edge ({u}, {v}) is not tight",

@@ -16,8 +16,9 @@ tight time half a step off, or an off-grid ``advance_to``.  Fractions are
 built only where values leave the engine: event times, ``SetRecord`` fields,
 ``RunResult``, and the times taken and returned by ``next_event``,
 ``advance_to`` and ``constraint_value``.  Every comparison is exact.  Float
-mode runs the same code on binary64 values; its tightness test follows the
-relative tolerance rule of ``scalars``.
+mode runs the same code on binary64 values; a pair with budget ``c`` goes
+tight when its value reaches ``c - tol(c)``, the budget-pair form of the
+tolerance rule stated in ``scalars``.
 
 A run is single-threaded and deterministic: ``step`` admits every arrival of
 an instant in index order, then scans once for tight pairs, which merge in
@@ -26,11 +27,11 @@ active sets {A, B}: the eligible pairs between them whose slack is within a
 band of the least slack between them.  Every member of a set gains the same
 dual value, so the pairs of {A, B} lose slack at one rate and keep their
 order; the first of them to go tight merges A and B, and the others then
-never cross again.  The band is 0 in exact mode, which keeps ties, and twice
-a pair's tightness tolerance in float mode, where rounding may reorder pairs
-that close.  Candidates are grouped by set when a request arrives; a merge of
-A and B into C folds {A, X} and {B, X} into {C, X}, which keeps the band of
-their union, and drops {A, B}.  The event log is the one record of each set's
+never cross again.  The band is 0 in exact mode, which keeps ties, and ``2 *
+tol(c)`` for a pair of budget ``c`` in float mode, where rounding may reorder
+pairs that close.  Candidates are grouped by set when a request arrives; a
+merge of A and B into C folds {A, X} and {B, X} into {C, X}, which keeps the
+band of their union, and drops {A, B}.  The event log is the one record of each set's
 growth intervals; ``SetRecord`` keeps only their sum ``y``.
 """
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .instance import Instance, require_finite_budgets, surplus
-from .scalars import EPS_TIGHT, EXACT, Scalar, dump_scalar, eq, parse_scalar
+from .scalars import EXACT, Scalar, dump_scalar, eq, parse_scalar, tol
 
 GROWING = "active-growing"
 NONGROWING = "active-nongrowing"
@@ -65,15 +66,17 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     return positive * negative + neutral * (neutral - 1) // 2
 
 
-def _band(cands: list, pot: list, eps) -> list:
+def _band(cands: list, pot: list, band_tol) -> list:
     """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
-    potentials ``pot`` is at most the least slack plus twice their own float
-    tolerance; ``eps`` is ``EPS_TIGHT``, or 0 in exact mode."""
+    potentials ``pot`` is at most the least slack plus twice their own
+    ``band_tol``: ``scalars.tol``, or None in exact mode, for a band of 0."""
     slacks = [c - pot[u] - pot[v] for u, v, c in cands]
     least = min(slacks)
     if slacks.count(least) == len(slacks):  # all tied: nothing to trim
         return cands
-    return [p for p, s in zip(cands, slacks) if s <= least + 2 * (eps * p[2] if p[2] > 1.0 else eps)]
+    if band_tol is None:
+        return [p for p, s in zip(cands, slacks) if s == least]
+    return [p for p, s in zip(cands, slacks) if s <= least + 2 * band_tol(p[2])]
 
 
 class _LivePairs:
@@ -211,7 +214,7 @@ class GreedyDualEngine:
         reqs = inst.requests
         n = len(reqs)
         self._exact = self.mode == EXACT
-        self._eps = 0 if self._exact else EPS_TIGHT  # the band's tolerance factor
+        self._band_tol = None if self._exact else tol  # see ``_band``
         # Distances over distinct positions only: requests often share them.
         ids = {}
         self._pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
@@ -368,7 +371,7 @@ class GreedyDualEngine:
         # One pass groups them by set, keeping the pairs within the band of
         # the least slack so far; the band of the final least trims the rest.
         row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
-        pot, eps, au, partner = self.potential, self._eps, atime[u], -sgn[u]
+        pot, band_tol, au, partner = self.potential, self._band_tol, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
         near = self._near
         near[sid] = sets = set()
@@ -384,13 +387,13 @@ class GreedyDualEngine:
                 elif s <= e[0]:
                     e[0] = s
                     e.append((v, u, c))
-                elif eps and s <= e[0] + 2 * (eps * c if c > 1.0 else eps):
+                elif band_tol and s <= e[0] + 2 * band_tol(c):
                     e.append((v, u, c))
         buckets = self._buckets
         for x in sets:
             near[x].add(sid)
             e = found[x]
-            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, eps)
+            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol)
         self._log(self.clock, ARRIVAL, {"u": u})
 
     def process_tight(self) -> None:
@@ -415,13 +418,7 @@ class GreedyDualEngine:
         pot, buckets = self.potential, self._buckets.values()
         if self._exact:
             return [(u, v) for cands in buckets for u, v, cost in cands if pot[u] + pot[v] == cost]
-        # The scalars tolerance rule, with the budget as the magnitude.
-        return [
-            (u, v)
-            for cands in buckets
-            for u, v, cost in cands
-            if pot[u] + pot[v] >= cost - (EPS_TIGHT * cost if cost > 1.0 else EPS_TIGHT)
-        ]
+        return [(u, v) for cands in buckets for u, v, cost in cands if pot[u] + pot[v] >= cost - tol(cost)]
 
     def _merge(self, u: int, v: int) -> None:
         a = self.sets[self.assign[u]]
@@ -472,9 +469,9 @@ class GreedyDualEngine:
                 cands = buckets.pop((x, child) if x < child else (child, x))
                 union[x] = union[x] + cands if x in union else cands
         near[c] = near_a | near_b
-        pot, eps = self.potential, self._eps
+        pot, band_tol = self.potential, self._band_tol
         for x, cands in union.items():
-            buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, eps)
+            buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, band_tol)
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -665,7 +662,7 @@ class GreedyDualEngine:
             if key[1] < old:
                 band = self._banded.get(key)
             else:
-                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._eps)}
+                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol)}
             if banded[key] != band:
                 raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
         self._banded, self._banded_sets = banded, len(replay.sets)

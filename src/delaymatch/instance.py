@@ -115,7 +115,12 @@ def require_finite_budgets(mode, dist, atimes) -> None:
     clock that may overflow: the engine locates the next tight time as twice
     the clock plus twice the time left, and once every request has arrived
     that sum is at most twice the last arrival time plus the budget bound
-    (arrival times are sorted and not negative)."""
+    (arrival times are sorted and not negative).  Refuse last a float total
+    cost that may overflow: of the ``m`` matched pairs, the connection cost
+    is at most ``m`` times the largest distance, and the waiting cost equals
+    the dual objective, which by weak duality is at most the offline optimum,
+    itself at most ``m`` budgets (match the requests any eligible way), so
+    the total is at most ``2 * m`` times the budget bound."""
     if mode == EXACT or not atimes:
         return
     bound = max(map(max, dist)) + (atimes[-1] - atimes[0])
@@ -125,6 +130,8 @@ def require_finite_budgets(mode, dist, atimes) -> None:
         raise InstanceError(
             "float clock overflow: twice the largest |arrival time| plus the budget bound exceeds binary64 range"
         )
+    if not is_scalar(len(atimes) * bound, mode):
+        raise InstanceError("float cost overflow: 2 * m times the budget bound exceeds binary64 range")
 
 
 def edge_cost(inst: Instance, u: int, v: int) -> Optional[Scalar]:

@@ -5,11 +5,25 @@ Instances run either in exact mode (every scalar is an ``int`` or a
 or a ``float`` that binary64 holds as a finite value: no NaN, no infinity, no
 int beyond ``sys.float_info.max``); a bool is never a scalar.  ``is_scalar``
 is the one statement of this rule; every door of an instance or a trace asks
-it.  Float mode has one tolerance rule, relative so that it means the same at
-any coordinate scale:
-``a`` and ``b`` count as equal when ``|a - b| <= EPS_TIGHT * max(1, |a|, |b|)``.
-``leq`` and ``eq`` apply it; the engine's tight-pair scan inlines it.  Values
-are immutable and safe to share between threads.
+it.  Values are immutable and safe to share between threads.
+
+Float mode has one tolerance, ``tol(c)``: ``EPS_TIGHT * c`` above magnitude
+1 and ``EPS_TIGHT`` below it, so it means the same at any coordinate scale.
+Every float comparison in the package reads it, in one of two forms:
+
+* two values ``a`` and ``b`` take the larger magnitude, ``M = max(|a|,
+  |b|)``: ``leq`` is ``a <= b + tol(M)`` and ``eq`` is ``|a - b| <= tol(M)``;
+* a pair's value ``x`` against its budget ``c`` (distance plus arrival gap)
+  takes the budget as the magnitude: the pair is tight when ``c - tol(c) <=
+  x``, within budget when ``x <= c + tol(c)``, and a value in both is tight
+  at its budget.
+
+The budget is the magnitude because it is fixed while the value rises:
+the engine's tightness test and the certifier's tightness and feasibility
+tests then compute the same edges, ``c - tol(c)`` and ``c + tol(c)``,
+whatever value a run reaches, so a pair the engine logs tight is tight to
+the certifier unless it is over budget.  Exact mode has no tolerance: ``leq`` and ``eq`` compare
+exactly, a pair is tight when ``x == c`` and within budget when ``x <= c``.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
 
-# Relative tolerance of float-mode comparisons; below magnitude 1 it is absolute.
+# The float tolerance's relative factor; below magnitude 1 it is absolute (``tol``).
 EPS_TIGHT = 1e-9
 
 # Types are matched exactly, so a bool (an int subclass) is never a scalar.
@@ -77,15 +91,20 @@ def dump_scalar(value: Scalar, mode: str):
     return float(value)
 
 
+def tol(c: float) -> float:
+    """The float tolerance at magnitude ``c`` (see above)."""
+    return EPS_TIGHT * c if c > 1.0 else EPS_TIGHT
+
+
 def leq(a: Scalar, b: Scalar, mode: str) -> bool:
     """``a <= b`` up to the mode's tolerance."""
     if mode == EXACT:
         return a <= b
-    return a <= b + EPS_TIGHT * max(1.0, abs(a), abs(b))
+    return a <= b + tol(max(abs(a), abs(b)))
 
 
 def eq(a: Scalar, b: Scalar, mode: str) -> bool:
     """``a == b`` up to the mode's tolerance."""
     if mode == EXACT:
         return a == b
-    return abs(a - b) <= EPS_TIGHT * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= tol(max(abs(a), abs(b)))

@@ -2,11 +2,12 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
-from math import inf, nan
+from math import inf, nan, nextafter
 
 import pytest
 
 from delaymatch.certify import (
+    _drive,
     _Replay,
     certify,
     certify_events,
@@ -26,7 +27,7 @@ from delaymatch.engine import (
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
-from delaymatch.scalars import EXACT, FLOAT
+from delaymatch.scalars import EXACT, FLOAT, leq, tol
 
 LINE = {"kind": "line"}
 
@@ -199,11 +200,13 @@ def test_float_overshoot_is_judged_by_the_tolerance(late):
         assert verdict.detail == "pair (0, 1) over budget after growth of set 1"
 
 
-def test_float_value_within_leq_but_above_the_stop_bound_certifies(monkeypatch):
-    # Budget c and value x: x is the float just above the stop bound
-    # c + EPS_TIGHT * c, and ``leq``'s bound c + EPS_TIGHT * x still admits it.
+def test_float_value_within_leq_but_above_the_budget_edge_is_a_breach():
+    # Budget c and value x: x is the float just above the budget's edge
+    # c + tol(c), though ``leq``'s bound c + tol(x) would admit it.  A pair is
+    # judged with its budget as the magnitude, by the stop sweep and the
+    # per-event reference alike.
     c, x = 289742439.9759606, 289742440.2657031
-    assert x > c + 1e-9 * c and x <= c + 1e-9 * x
+    assert x > c + tol(c) and leq(x, c, FLOAT)
     # Requests 0 and 1 grow to x and go tight, 2x apart; 2 and 3 match at
     # once, far from both.  Certified against 2 and 3 at distance c from
     # request 0, pairs (0, 2) and (0, 3) end at value x over budget c.
@@ -212,12 +215,57 @@ def test_float_value_within_leq_but_above_the_stop_bound_certifies(monkeypatch):
     events = list(run(make_instance(MPMD, LINE, far, mode=FLOAT)).event_log)
     inst = make_instance(MPMD, LINE, near, mode=FLOAT)
     assert inst.budgets.cost[0, 2] == c and events[-1].t == x
-    sweeps, sweep = [], _Replay._sweep_feasibility
-    monkeypatch.setattr(_Replay, "_sweep_feasibility", lambda self, breach: (sweeps.append(breach), sweep(self, breach)))
+    grow = next(i for i, e in enumerate(events) if e.kind == GROW and e.payload["set"] == 0)
+    stop = _Replay(inst)
+    assert _drive(stop, events, True) is None  # every other check passes
+    assert not stop.within_budgets()
+    reference = _drive(_Replay(inst, per_event=True), events, True)
+    assert (reference.prop, reference.event_index) == ("dual-feasibility", grow)
+    assert reference.detail == "pair (0, 2) over budget after growth of set 0"
+    assert certify_events(inst, events) == reference
+
+
+def _moved_tight_value(c, x):
+    """The run of two float requests at time 0 and distance ``c``, with its
+    tight instant moved so that the pair's value there is ``x``, and the
+    index of its tight event."""
+    inst, events = _float_pair(c)
+    tight = next(i for i, e in enumerate(events) if e.kind == TIGHT)
+    moved = _move_instant(events, events[tight].t, x / 2)
+    assert moved[tight].t * 2 == x
+    return inst, moved, tight
+
+
+@pytest.mark.parametrize("c", [1.000000001, 0.25, 289742439.9759606])
+def test_a_tight_value_is_judged_at_the_budget_edges(c):
+    # Values at c - tol(c) and c + tol(c) are tight; one ulp below the lower
+    # edge is not tight, and one ulp above the upper one is over budget from
+    # the growth event that made it.
+    low, high = c - tol(c), c + tol(c)
+    for x in (low, high):
+        verdict = certify_events(*_moved_tight_value(c, x)[:2])
+        assert verdict.ok, verdict.to_json()
+    inst, events, tight = _moved_tight_value(c, nextafter(low, 0.0))
     verdict = certify_events(inst, events)
+    assert (verdict.prop, verdict.event_index) == ("marked-tightness", tight)
+    inst, events, tight = _moved_tight_value(c, nextafter(high, inf))
+    verdict = certify_events(inst, events)
+    assert (verdict.prop, verdict.event_index) == ("dual-feasibility", tight - 1)
+
+
+def test_a_pair_logged_tight_below_its_budget_certifies():
+    # Budget 1.000000001: the engine's edge c - tol(c) rounds to 1.0, and at
+    # 0.5 it logs (0, 1) tight at value 1.0 while two far requests arrive.
+    inst = make_instance(
+        MPMD, LINE, [(0.0, 0.0, 0), (1.000000001, 0.0, 0), (100.0, 0.5, 0), (200.0, 0.5, 0)], mode=FLOAT
+    )
+    c = inst.budgets.cost[0, 1]
+    assert c > 1.0 and c - tol(c) == 1.0
+    result = run(inst, self_check=True)
+    assert EventRecord(t=0.5, kind=TIGHT, payload={"u": 0, "v": 1}) in result.event_log
+    verdict = certify(inst, result)
     assert verdict.ok, verdict.to_json()
-    assert verdict.min_slack == c - x
-    assert sweeps  # the stop sweep failed, so the per-event reference ran
+    assert verdict.edge_slacks[0] == (0, 1, c - 1.0)
 
 
 def test_tampered_summary_is_caught(tight4):

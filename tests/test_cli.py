@@ -343,3 +343,15 @@ def test_overflowing_clock_is_refused_not_printed(tmp_path):
         proc = run_cli(*args, timeout=10)
         _assert_input_error(proc)
         assert proc.stderr.startswith(refused), proc.stderr
+
+
+def test_overflowing_total_cost_is_refused_not_printed(tmp_path):
+    # Every budget and the clock are finite, but the total cost would be
+    # 3e308, printed as inf or caught only as a summary mismatch.
+    far = tmp_path / "far.json"
+    far.write_text(_float_doc('{"kind": "line"}', '[{"pos": 0, "atime": 0}, {"pos": 1.5e308, "atime": 0}]'))
+    refused = "delaymatch: error: float cost overflow: "
+    for args in (["run", str(far)], ["run", str(far), "--self-check"], ["run", str(far), "--certify"]):
+        proc = run_cli(*args, timeout=10)
+        _assert_input_error(proc)
+        assert proc.stderr.startswith(refused), proc.stderr

@@ -268,3 +268,17 @@ def test_overflowing_clock_is_refused_before_the_first_event():
     a, d = 2.0**1021, 2.0**1020
     inside = make_instance(MPMD, LINE, [(0, 0, 0), (0, 0, 0), (0, a, 0), (d, a, 0)], mode=FLOAT)
     assert run(inside, self_check=True).matching == ((0, 1, 0.0), (2, 3, a + d / 2))
+
+
+def test_overflowing_total_cost_is_refused_before_the_first_event():
+    # Every budget and the clock stay finite, but the pair meets at 7.5e307
+    # and connection plus waiting is 3e308: beyond 2 * m times the budget
+    # bound, which bounds the total, is beyond binary64 range.
+    inst = make_instance(MPMD, LINE, [(0, 0, 0), (1.5e308, 0, 0)], mode=FLOAT)
+    refused = "^float cost overflow: 2 [*] m times the budget bound exceeds binary64 range$"
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+        with pytest.raises(InstanceError, match=refused):
+            build()
+    # At half the range the total is 1.5e308 and the run ends.
+    half = make_instance(MPMD, LINE, [(0, 0, 0), (0.75e308, 0, 0)], mode=FLOAT)
+    assert run(half, self_check=True).total_cost == 1.5e308

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import inf, nan
+from math import inf, nan, nextafter
 
 import pytest
 
@@ -14,6 +14,7 @@ from delaymatch.scalars import (
     is_scalar,
     leq,
     parse_scalar,
+    tol,
 )
 
 
@@ -102,3 +103,29 @@ def test_float_tolerance_is_relative_above_magnitude_one():
     assert not eq(1e-3 + 1e-8, 1e-3, FLOAT)  # absolute below magnitude 1
     assert leq(1e12 + 100.0, 1e12, FLOAT)
     assert not leq(1e12 + 1e4, 1e12, FLOAT)
+
+
+def test_tol_is_absolute_up_to_one_and_relative_above():
+    assert tol(0.0) == tol(1e-300) == tol(1.0) == EPS_TIGHT
+    assert tol(2.0) == 2 * EPS_TIGHT
+    assert tol(1e308) == EPS_TIGHT * 1e308
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e-300, 1e308], ids=["1", "1e-300", "1e308"])
+def test_leq_and_eq_keep_the_larger_magnitude_formula(magnitude):
+    # The value-pair forms read ``tol`` at max(|a|, |b|), which is the
+    # formula EPS_TIGHT * max(1, |a|, |b|) bit for bit, at each edge.
+    def near(x):
+        return [x, nextafter(x, 0.0), nextafter(x, inf), -x]
+
+    base = near(magnitude)
+    values = {0.0, *base}
+    for x in base:
+        for d in (x * EPS_TIGHT, EPS_TIGHT):
+            values.update(near(x + d) + near(x - d) + near(x * (1 + EPS_TIGHT)))
+    values = [v for v in values if abs(v) <= sys.float_info.max]
+    for a in values:
+        for b in values:
+            bound = EPS_TIGHT * max(1.0, abs(a), abs(b))
+            assert leq(a, b, FLOAT) == (a <= b + bound), (a, b)
+            assert eq(a, b, FLOAT) == (abs(a - b) <= bound), (a, b)
