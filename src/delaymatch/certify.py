@@ -54,11 +54,12 @@ stands.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, RunResult
+from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, EventRecord, RunResult
 from .instance import Instance, surplus
 from .scalars import Scalar, dump_scalar, eq, is_scalar, leq, tol
 
@@ -249,7 +250,9 @@ class _Replay:
         for i in range(self.applied, len(events)):
             self.index = i
             ev = events[i]
-            handler = self._HANDLERS.get(ev.kind)
+            if not (isinstance(ev, EventRecord) and isinstance(ev.payload, dict)):
+                self._fail("trace-shape", "event is not an EventRecord with an object payload", type=type(ev).__name__)
+            handler = self._HANDLERS.get(ev.kind) if isinstance(ev.kind, str) else None
             if handler is None:
                 self._fail("trace-shape", f"unknown event kind {ev.kind!r}", kind=ev.kind)
             if ev.kind != MERGE and self.pending_tight is not None:
@@ -565,18 +568,18 @@ class _Replay:
             if ru == rv:
                 self._fail("marked-forest", f"marked edges close a cycle at ({u}, {v})", u=u, v=v)
             parent[ru] = rv
+        # ``_settle`` has checked ``assign`` against the active sets.
+        assign = self.assign
+        inside = Counter(assign[u] for u, v, _ in self.marked if assign[u] == assign[v])
         for rec in self.sets:
-            if not rec.active:
-                continue
-            inside = sum(1 for u, v, _ in self.marked if u in rec.members and v in rec.members)
-            if inside != len(rec.members) - 1:
+            if rec.active and inside[rec.set_id] != len(rec.members) - 1:
                 self._fail(
                     "marked-forest",
-                    f"set {rec.set_id} holds {inside} marked edges over {len(rec.members)} requests",
+                    f"set {rec.set_id} holds {inside[rec.set_id]} marked edges over {len(rec.members)} requests",
                     set=rec.set_id,
                 )
         for u, v, _ in self.marked:
-            if self.assign[u] != self.assign[v]:
+            if assign[u] != assign[v]:
                 self._fail("marked-forest", f"marked edge ({u}, {v}) crosses active sets", u=u, v=v)
 
     def _check_marked_tightness(self):

@@ -31,8 +31,9 @@ never cross again.  The band is 0 in exact mode, which keeps ties, and ``2 *
 tol(c)`` for a pair of budget ``c`` in float mode, where rounding may reorder
 pairs that close.  Candidates are grouped by set when a request arrives; a
 merge of A and B into C folds {A, X} and {B, X} into {C, X}, which keeps the
-band of their union, and drops {A, B}.  The event log is the one record of each set's
-growth intervals; ``SetRecord`` keeps only their sum ``y``.
+band of their union, and drops {A, B}.  The event log is the one record of
+growth intervals, marks and matches; ``SetRecord`` keeps only each set's sum
+``y``, and ``growing`` the ids of the sets that grow.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ class RunResult:
     variant: str
     mode: str
     m: int
-    matching: tuple  # ((u, v, match_time), ...) in match order, u < v
+    matching: tuple  # ((u, v, match_time), ...) of the match events, in log order, u < v
     all_sets: tuple  # SetRecord log, index == set_id
-    event_log: tuple
-    marked_edges: tuple  # ((u, v, mark_time), ...)
+    event_log: tuple  # the one record of growth intervals, marks and matches
+    marked_edges: tuple  # ((u, v, mark_time), ...) of the tight events, in log order, u < v
     connection_cost: Scalar
     waiting_cost: Scalar
     total_cost: Scalar
@@ -242,12 +243,8 @@ class GreedyDualEngine:
         self.clock = self._zero
         self.next_arrival = 0
         self.assign = [None] * n  # request index -> active set_id
-        self._grows = [0] * n  # 1 while the active set of u is growing
         self.sets: list[SetRecord] = []
         self.growing: set[int] = set()  # ids of the active sets with a free request
-        self.marked = []  # (u, v, mark_time)
-        self.matching = []  # (u, v, match_time)
-        self.matched = [False] * n
         self.events: list[EventRecord] = []
         # The candidates (u, v, scaled budget), u < v, of each pair of active
         # sets a < b with an eligible pair between them.
@@ -307,7 +304,7 @@ class GreedyDualEngine:
                 return (self._external(t2, 2), TIGHT)
         if arrivals_left:
             return (self.inst.requests[self.next_arrival].atime, ARRIVAL)
-        if not all(self.matched):
+        if self.growing:
             raise EngineInvariantError(
                 "stuck-state: free requests remain but no growth can trigger a merge"
             )
@@ -316,11 +313,10 @@ class GreedyDualEngine:
     def _least_tight_key(self):
         """Least ``2 * slack / r`` over candidates with r >= 1 growing
         endpoints: twice the time until the first one goes tight."""
-        pot, grows, two_over = self.potential, self._grows, _TWO_OVER
+        pot, growing, two_over = self.potential, self.growing, _TWO_OVER
         best = None
-        for cands in self._buckets.values():
-            u, v, _ = cands[0]
-            r = grows[u] + grows[v]  # the same for every pair of the bucket
+        for (a, b), cands in self._buckets.items():
+            r = (a in growing) + (b in growing)
             if r:
                 f = two_over[r]
                 for u, v, cost in cands:
@@ -363,7 +359,6 @@ class GreedyDualEngine:
         self.sets.append(rec)
         self.growing.add(sid)
         self.assign[u] = sid
-        self._grows[u] = 1
         sgn = self._sgn
         self._polarity[sid] = counts = [0, 0, 0]
         counts[sgn[u]] = 1
@@ -437,16 +432,13 @@ class GreedyDualEngine:
             self.growing.discard(child.set_id)
         self.sets.append(rec)
         self._fold(a.set_id, b.set_id, sid)
-        self.marked.append((min(u, v), max(u, v), self.clock))
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
-        grows = int(bool(rec.free))
-        if grows:
+        if rec.free:
             self.growing.add(sid)
         for w in members:
             self.assign[w] = sid
-            self._grows[w] = grows
 
     def _fold(self, a: int, b: int, c: int) -> None:
         """Give the new set ``c`` the buckets of its children ``a`` and ``b``:
@@ -490,10 +482,7 @@ class GreedyDualEngine:
             order.remove(partner)
             rec.free.discard(x)
             rec.free.discard(partner)
-            self.matched[x] = self.matched[partner] = True
-            pair = (min(x, partner), max(x, partner))
-            self.matching.append((pair[0], pair[1], self.clock))
-            self._log(self.clock, MATCH, {"u": pair[0], "v": pair[1]})
+            self._log(self.clock, MATCH, {"u": min(x, partner), "v": max(x, partner)})
 
     def constraint_value(self, u: int, v: int) -> Scalar:
         """Accumulated dual value charged against the (u, v) budget: the sum
@@ -566,12 +555,15 @@ class GreedyDualEngine:
 
     def _result(self) -> RunResult:
         inst = self.inst
-        if any(not m for m in self.matched):
+        # Match and tight events both log their pair as u < v.
+        matching = tuple((ev.payload["u"], ev.payload["v"], ev.t) for ev in self.events if ev.kind == MATCH)
+        marked = tuple((ev.payload["u"], ev.payload["v"], ev.t) for ev in self.events if ev.kind == TIGHT)
+        if 2 * len(matching) != len(inst.requests):
             raise EngineInvariantError("run ended with unmatched requests")
         zero = self._zero
         connection = zero
         waiting = zero
-        for u, v, t in self.matching:
+        for u, v, t in matching:
             connection += inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
             waiting += (t - inst.requests[u].atime) + (t - inst.requests[v].atime)
         dual = zero
@@ -581,10 +573,10 @@ class GreedyDualEngine:
             variant=inst.variant,
             mode=self.mode,
             m=inst.m,
-            matching=tuple(self.matching),
+            matching=matching,
             all_sets=tuple(self.sets),
             event_log=tuple(self.events),
-            marked_edges=tuple(self.marked),
+            marked_edges=marked,
             connection_cost=connection,
             waiting_cost=waiting,
             total_cost=connection + waiting,
@@ -617,15 +609,16 @@ class GreedyDualEngine:
             cached, replayed = self._external(self.potential[u]), replay.external(replay.potential[u])
             if not eq(cached, replayed, self.mode):
                 raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
-            if self._grows[u] != bool(replay.sets[assign[u]].free):
-                raise EngineInvariantError(f"growth-flag: request {u}: cached flag disagrees with set {assign[u]}")
+        members = {}  # replayed active set -> its arrived members
+        for u in range(arrived):
+            members.setdefault(assign[u], []).append(u)
+        # The growing sets must be the replayed active sets with a free request.
+        if self.growing != (replayed := {a for a in members if replay.sets[a].free}):
+            raise EngineInvariantError(f"growth-flag: growing sets {sorted(self.growing)}, replayed {sorted(replayed)}")
         # There must be one bucket per pair of replayed active sets with an
         # eligible pair of arrived requests between them, each listed among
         # both sets' neighbours, and as many such pairs as ``live_pairs``
         # counts.
-        members = {}  # replayed set -> its arrived members
-        for u in range(arrived):
-            members.setdefault(assign[u], []).append(u)
         cost, sets = replay.cost, sorted(members)
         cross = {}  # (a, b) -> the eligible pairs (u, v, replayed budget) between sets a < b
         for i, a in enumerate(sets):

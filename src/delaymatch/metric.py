@@ -95,7 +95,9 @@ class RingMetric(Metric):
             raise InvalidPointError(f"ring circumference must be positive, got {self.h}")
 
     def normalize(self, p):
-        return p % self.h
+        q = p % self.h
+        # A float just below 0 leaves a remainder that rounds up to h.
+        return q - self.h if q == self.h else q
 
     def distance(self, a, b):
         d = abs(a - b)

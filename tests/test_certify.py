@@ -307,6 +307,24 @@ def test_wrong_typed_time_or_index_is_a_violation_at_its_event(inst):
                 assert verdict.prop in ("trace-shape", "matching-validity"), (i, key, wrong)
 
 
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        lambda ev: replace(ev, payload=None),
+        lambda ev: replace(ev, payload=[ev.payload]),
+        lambda ev: replace(ev, kind=[ev.kind]),
+        lambda ev: {"t": ev.t, "kind": ev.kind, "payload": ev.payload},
+    ],
+    ids=["payload-none", "payload-list", "kind-list", "dict-event"],
+)
+def test_malformed_in_memory_event_is_a_trace_shape_violation(tight4, malformed):
+    inst, res = tight4
+    events = list(res.event_log)
+    i = next(i for i, e in enumerate(events) if e.kind == GROW)
+    verdict = certify_events(inst, events[:i] + [malformed(events[i])] + events[i + 1 :])
+    assert (verdict.prop, verdict.event_index) == ("trace-shape", i)
+
+
 def test_exact_trace_time_given_as_a_float_or_a_string_is_refused(tight4):
     inst, res = tight4
     events = list(res.event_log)
@@ -384,6 +402,24 @@ def test_certifying_leaves_the_shared_budget_table_as_it_was(monkeypatch):
     checked = GreedyDualEngine(inst, self_check=True).run()
     assert certify(inst, checked).to_json() == first
     assert inst.budgets == gen_random_instance(seed=1, m=8, metric_kind="ring").budgets
+
+
+def test_a_missing_marked_edge_is_named_at_its_active_set():
+    inst = gen_random_instance(seed=11, m=10, metric_kind="line")
+    res = run(inst)
+    events = res.event_log
+    assert len({rec.set_id for rec in res.all_sets if rec.parent is None}) > 1
+    for i in range(res.num_marked_edges):
+        replay = _Replay(inst)
+        replay.feed(events)
+        u, v, _ = replay.marked.pop(i)
+        rec = replay.sets[replay.assign[u]]
+        report = _drive(replay, events, True)
+        assert (report.prop, report.detail, report.event_index) == (
+            "marked-forest",
+            f"set {rec.set_id} holds {len(rec.members) - 2} marked edges over {len(rec.members)} requests",
+            -1,
+        )
 
 
 def test_marked_path_check_rejects_disconnected_pairs():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from delaymatch.instance import parse_instance
+
 CLI = [sys.executable, "-m", "delaymatch.cli"]
 
 
@@ -355,3 +357,13 @@ def test_overflowing_total_cost_is_refused_not_printed(tmp_path):
         proc = run_cli(*args, timeout=10)
         _assert_input_error(proc)
         assert proc.stderr.startswith(refused), proc.stderr
+
+
+def test_float_ring_position_just_below_zero_wraps_to_zero(tmp_path):
+    # -1e-20 % 10.0 rounds up to 10.0, which lies outside [0, 10).
+    doc = _float_doc('{"kind": "ring", "h": 10}', '[{"pos": -1e-20, "atime": 0}, {"pos": 3, "atime": 1}]')
+    assert parse_instance(json.loads(doc)).requests[0].pos == 0.0
+    path = tmp_path / "ring.json"
+    path.write_text(doc)
+    proc = run_cli("run", str(path), "--certify")
+    assert proc.returncode == 0, proc.stderr

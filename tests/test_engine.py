@@ -206,6 +206,32 @@ def test_marked_edges_one_per_merge():
     assert res.num_sets == len(inst.requests) + len(merges)
 
 
+class NoTightSearch(GreedyDualEngine):
+    """An event search that never finds a tight pair."""
+
+    def _least_tight_key(self):
+        return None
+
+
+class EndsAtOnce(GreedyDualEngine):
+    """Reports no next event, with every request still to come."""
+
+    def next_event(self):
+        return None
+
+
+@pytest.mark.parametrize("self_check", [False, True], ids=["plain", "self-checked"])
+def test_a_free_request_with_no_event_ahead_is_a_stuck_state(self_check):
+    # After both arrivals the sets still grow, but nothing can go tight.
+    with pytest.raises(EngineInvariantError, match="^stuck-state: "):
+        NoTightSearch(line_instance([(0, 0, 0), (4, 0, 0)]), self_check=self_check).run()
+
+
+def test_a_run_that_ends_with_free_requests_is_refused():
+    with pytest.raises(EngineInvariantError, match="^run ended with unmatched requests$"):
+        EndsAtOnce(line_instance([(0, 0, 0), (4, 0, 0)])).run()
+
+
 def test_step_without_progress_raises_instead_of_spinning():
     # With every arrival shifted by 1e9 the float clock resolves only about
     # 1e-7, while the budgets do not see the shift and stay near 1, so their

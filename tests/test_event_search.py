@@ -36,10 +36,10 @@ class FlatScanEngine(GreedyDualEngine):
         self.flat += [(v, u, row[pid[v]] + (au - atime[v])) for v in range(u) if sgn[v] == partner]
 
     def _least_tight_key(self):
-        pot, grows = self.potential, self._grows
+        pot, growing, assign = self.potential, self.growing, self.assign
         best = None
         for u, v, cost in self.flat:
-            r = grows[u] + grows[v]
+            r = (assign[u] in growing) + (assign[v] in growing)
             if r:
                 key = (cost - pot[u] - pot[v]) * _TWO_OVER[r]
                 if best is None or key < best:

@@ -47,12 +47,11 @@ class BudgetWithoutGap(GreedyDualEngine):
 
 
 class WrongGrowthFlag(GreedyDualEngine):
-    """Flips the cached growth flag of every member of a merged set."""
+    """Flips whether a merged set is growing."""
 
     def _merge(self, u, v):
         super()._merge(u, v)
-        for w in self.sets[-1].members:
-            self._grows[w] = 1 - self._grows[w]
+        self.growing ^= {self.sets[-1].set_id}
 
 
 class _MisLogging(GreedyDualEngine):
@@ -298,6 +297,12 @@ def test_self_check_catches_injected_bug(bug):
         else:
             missed.append((i, "ran to completion"))
     assert not missed, missed
+
+
+def test_self_check_names_a_wrong_growth_flag():
+    for inst in CORPUS:
+        with pytest.raises(EngineInvariantError, match="^growth-flag: "):
+            WrongGrowthFlag(inst, self_check=True).run()
 
 
 @pytest.mark.parametrize("bug", LIVE_PAIR_BUGS, ids=lambda cls: cls.__name__)
