@@ -20,7 +20,7 @@ The first failed check wins: certification returns a ViolationReport naming
 the property, a witness, and the index of the offending event.  Clean replays
 return a DualCertificate with the re-derived totals and per-pair slacks.
 
-``_Replay.feed`` drives the replay: ``certify`` feeds it a whole trace, the
+``_Replay.drive`` feeds the replay: ``certify`` hands it a whole trace, the
 engine's self-check its growing log after every step.  An instant settles
 when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
@@ -39,17 +39,18 @@ so one bug cannot fool both.  Fractions are built only for witnesses and
 messages, the totals and ``edge_slacks``.  Float mode runs the same code on
 the floats themselves, with no scale.
 
-Dual feasibility is checked once, where the replay stops: at the end or at
-the first failure of any other check.  Values only rise (growth needs ``from
-< to``, a merge freezes a pair, an inactive set never grows) and budgets are
-fixed, so a pair within budget there was within budget after every earlier
-event.  A pair is judged against its budget by the budget-pair form of the
-tolerance rule stated in ``scalars``, the form the engine's tightness test
-uses: in float mode, within budget is ``value <= cost + tol(cost)``, and a
-tight pair must also reach ``cost - tol(cost)``.  If a pair fails, the
-reference replay (``per_event``) reruns the input with a full sweep after
-every growth event and settle, and its report, naming the first breach,
-stands.
+Dual feasibility is checked once, where the replay stops: at the end, at
+its first violation, or where an engine guard or cache check raises under
+self-check.  Values only rise (growth needs ``from < to``, a merge freezes a
+pair, an inactive set never grows) and budgets are fixed, so a pair within
+budget there was within budget after every earlier event.  A pair is judged
+against its budget by the budget-pair form of the tolerance rule stated in
+``scalars``, the form the engine's tightness test uses: in float mode,
+within budget is ``value <= cost + tol(cost)``, and a tight pair must also
+reach ``cost - tol(cost)``.  ``_Replay.stop_sweep``, which ``certify`` and
+the self-check both call, holds this rule: if a pair fails, the reference
+replay (``per_event``) reruns exactly the input ``drive`` was handed, with a
+full sweep after every growth event and settle, and its report stands.
 """
 
 from __future__ import annotations
@@ -159,12 +160,12 @@ class _RSet:
         "growth_end",
     )
 
-    def __init__(self, set_id, members, sur, clock, zero):
+    def __init__(self, set_id, members, sur, free, clock, zero):
         self.set_id = set_id
         self.members = members
         self.sur = sur
         self.y = zero
-        self.free = set(members)
+        self.free = free
         self.active = True
         self.growth_end = clock
 
@@ -190,11 +191,11 @@ class _Replay:
         self.frozen = {}
         self.marked = []
         self.matching = []
-        self.matched = [False] * n
         self.pending_tight = None
         self.index = -1
         self.applied = 0  # events applied so far: the cursor of ``feed``
         self.settled = 0  # ``applied`` at the last settle
+        self.handed = ((), 0, False, None)  # ``drive``'s last input: (events, count, end, result)
         self.cost = budgets.cost
 
     # -- scaled values ---------------------------------------------------------
@@ -260,6 +261,22 @@ class _Replay:
             handler(self, ev)
             self.applied = i + 1
 
+    def drive(self, events, end=False, result=None):
+        """Feed ``events``, then settle the last instant or, with ``end``, run
+        the endgame and, given the run's ``result``, the cross-check.  Returns
+        the first violation's report, or None."""
+        self.handed = (events, len(events), end, result)
+        try:
+            self.feed(events)
+            if not end:
+                self._settle()
+            else:
+                self.finish()
+                if result is not None:
+                    _cross_check(self, result)
+        except _Violation as exc:
+            return exc.report
+
     def _move_clock(self, t, scaled):
         """Move the clock to ``t``, whose scaled value is ``scaled``."""
         if scaled < self._clock:
@@ -292,7 +309,7 @@ class _Replay:
         self._move_clock(ev.t, t)
         self.next_arrival += 1
         sid = len(self.sets)
-        self.sets.append(_RSet(sid, frozenset({u}), 1, self._clock, self.zero))
+        self.sets.append(_RSet(sid, frozenset({u}), 1, {u}, self._clock, self.zero))
         self.assign[u] = sid
 
     def _ev_grow(self, ev):
@@ -381,8 +398,7 @@ class _Replay:
                 b=b,
             )
         members = ra.members | rb.members
-        rec = _RSet(sid, members, surplus(self.inst, members), self._clock, self.zero)
-        rec.free = ra.free | rb.free
+        rec = _RSet(sid, members, surplus(self.inst, members), ra.free | rb.free, self._clock, self.zero)
         cost, potential, frozen = self.cost, self.potential, self.frozen
         for x in ra.members:
             for w in rb.members:
@@ -404,21 +420,20 @@ class _Replay:
             self._fail("matching-validity", "match pair out of range", u=u, v=v)
         if not self.inst.eligible(u, v):
             self._fail("matching-validity", f"matched pair ({u}, {v}) is not eligible", u=u, v=v)
-        if self.matched[u] or self.matched[v]:
+        # An arrived request is matched once its active set no longer holds it free.
+        a, b, sets = self.assign[u], self.assign[v], self.sets
+        if (a is not None and u not in sets[a].free) or (b is not None and v not in sets[b].free):
             self._fail("matching-validity", f"request matched twice in pair ({u}, {v})", u=u, v=v)
-        if self.assign[u] is None or self.assign[u] != self.assign[v]:
+        if a is None or a != b:
             self._fail(
                 "matching-validity",
                 f"pair ({u}, {v}) matched across active sets",
                 u=u,
                 v=v,
             )
-        rec = self.sets[self.assign[u]]
-        if u not in rec.free or v not in rec.free:
-            self._fail("matching-validity", f"pair ({u}, {v}) was not free", u=u, v=v)
+        rec = sets[a]
         rec.free.discard(u)
         rec.free.discard(v)
-        self.matched[u] = self.matched[v] = True
         self.matching.append((min(u, v), max(u, v), self.clock))
 
     _HANDLERS = {ARRIVAL: _ev_arrival, GROW: _ev_grow, TIGHT: _ev_tight, MERGE: _ev_merge, MATCH: _ev_match}
@@ -466,11 +481,12 @@ class _Replay:
                 )
 
     def _check_potential(self):
-        clock, atime, potential, matched, mode = self._clock, self.atime, self.potential, self.matched, self.mode
+        clock, atime, potential, mode = self._clock, self.atime, self.potential, self.mode
+        assign, sets = self.assign, self.sets
         for u in range(self.next_arrival):
             bound = clock - atime[u]
             value = potential[u]
-            if value <= bound and (matched[u] or value == bound):
+            if value == bound or (value < bound and u not in sets[assign[u]].free):
                 continue
             if not leq(value, bound, mode):
                 value, bound = self.external(value), self.external(bound)
@@ -481,7 +497,7 @@ class _Replay:
                     value=value,
                     waited=bound,
                 )
-            if not matched[u] and not eq(value, bound, mode):
+            if u in sets[assign[u]].free and not eq(value, bound, mode):
                 value, bound = self.external(value), self.external(bound)
                 self._fail(
                     "potential",
@@ -502,6 +518,15 @@ class _Replay:
     def within_budgets(self):
         """The stop sweep: every arrived pair within its budget."""
         return self._first_over_budget() is None
+
+    def stop_sweep(self, report=None):
+        """The verdict where the replay stopped: ``report`` when every arrived
+        pair is within its budget, else the report (None included) of the
+        reference replay over exactly the input ``drive`` was handed."""
+        if self.within_budgets():
+            return report
+        events, count, end, result = self.handed
+        return _Replay(self.inst, per_event=True).drive(events[:count], end, result)
 
     def _sweep_feasibility(self, breach):
         if over := self._first_over_budget():
@@ -534,7 +559,7 @@ class _Replay:
         n = len(self.inst.requests)
         if self.next_arrival != n:
             self._fail("matching-validity", f"only {self.next_arrival} of {n} requests arrived")
-        unmatched = [u for u in range(n) if not self.matched[u]]
+        unmatched = [u for u in range(n) if u in self.sets[self.assign[u]].free]
         if unmatched:
             self._fail("matching-validity", "run ended with unmatched requests", unmatched=unmatched)
         reqs, distance = self.inst.requests, self.inst.metric.distance
@@ -711,27 +736,9 @@ def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
     return check
 
 
-def _drive(replay, events, end, result=None):
-    """Feed ``events`` to ``replay``, then settle the last instant or, with
-    ``end``, run the endgame and, given the run's ``result``, the
-    cross-check.  Returns the first violation's report, or None."""
-    try:
-        replay.feed(events)
-        if not end:
-            replay._settle()
-        else:
-            replay.finish()
-            if result is not None:
-                _cross_check(replay, result)
-    except _Violation as exc:
-        return exc.report
-
-
 def _certify(inst: Instance, events, result=None):
     replay = _Replay(inst)
-    report = _drive(replay, events, True, result)
-    if not replay.within_budgets():
-        report = _drive(_Replay(inst, per_event=True), events, True, result)
+    report = replay.stop_sweep(replay.drive(events, True, result))
     if report is not None:
         return report
     return DualCertificate(

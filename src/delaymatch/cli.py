@@ -29,7 +29,7 @@ from .engine import EngineInvariantError, GreedyDualEngine, events_from_jsonl, e
 from .generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from .instance import MBPMD, MPMD, instance_json, parse_instance
 from .offline import BRUTE_LIMIT, opt_brute, opt_hungarian
-from .scalars import MODES, dump_scalar
+from .scalars import MODES, ScalarError, dump_scalar, parse_scalar
 
 
 class CliError(Exception):
@@ -166,6 +166,23 @@ def _cmd_opt(args) -> int:
 # -- certify ---------------------------------------------------------------
 
 
+_EXPECT_COSTS = ("connection_cost", "waiting_cost", "total_cost", "dual_objective")
+_EXPECT_COUNTS = ("m", "num_sets", "num_marked_edges")
+
+
+def _expected(key, value, mode):
+    """The value of an ``--expect`` field: a count must be a JSON integer, a
+    cost a scalar of ``mode``."""
+    if key in _EXPECT_COUNTS:
+        if type(value) is int:
+            return value
+        raise CliError(f"--expect: {key} must be an integer, got {value!r}")
+    try:
+        return parse_scalar(value, mode)
+    except ScalarError as exc:
+        raise CliError(f"--expect: {key}: {exc}") from None
+
+
 def _cmd_certify(args) -> int:
     inst = _load_instance(args.instance, args.mode)
     events = events_from_jsonl(_read_text(args.trace), inst.mode)
@@ -180,16 +197,8 @@ def _cmd_certify(args) -> int:
             raise CliError(f"--expect: summary must be a JSON object, got {type(expected).__name__}")
         mismatch = {
             key: {"expected": expected[key], "actual": doc[key]}
-            for key in (
-                "connection_cost",
-                "waiting_cost",
-                "total_cost",
-                "dual_objective",
-                "m",
-                "num_sets",
-                "num_marked_edges",
-            )
-            if key in expected and expected[key] != doc[key]
+            for key in _EXPECT_COSTS + _EXPECT_COUNTS
+            if key in expected and _expected(key, expected[key], inst.mode) != getattr(cert, key)
         }
         if mismatch:
             _emit({"ok": False, "property": "summary-consistency", "mismatch": mismatch})
@@ -227,6 +236,8 @@ def _parse_gen_spec(spec: str):
             key, sep, value = part.partition("=")
             if not sep:
                 raise CliError(f"bad generator spec {spec!r}: expected key=value, got {part!r}")
+            if key in kwargs:
+                raise CliError(f"bad generator spec {spec!r}: key {key!r} given twice")
             kwargs[key] = value
     build = _GENERATORS.get(family)
     if build is None:

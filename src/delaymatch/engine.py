@@ -203,8 +203,9 @@ class GreedyDualEngine:
 
     With ``self_check=True`` every step feeds its events to the certifier's
     replay, which checks the instant the step closed, and the engine's own
-    caches are compared with the replayed state; dual feasibility is swept
-    when the run ends or any check raises, the engine's own guards included.
+    caches are compared with the replayed state.  When the run ends or any
+    check raises, guards included, the engine asks the replay for its verdict
+    (the stop-sweep rule lives in one certify function, ``stop_sweep``).
     The first breach raises EngineInvariantError("<property>: <detail>").
     """
 
@@ -592,17 +593,11 @@ class GreedyDualEngine:
     # -- self-check (debug mode) --------------------------------------------
 
     def _self_check(self, result: RunResult = None) -> None:
-        """Feed the event log to the certifier's replay, which applies the
-        events it has not seen, and settle the instant the step closed, or,
-        given the finished ``result``, run the replay's endgame and summary
-        checks.  Then compare the engine caches a replay cannot see.  The
-        first breach raises EngineInvariantError; ``_breach`` sweeps dual
-        feasibility."""
-        from .certify import _drive
-
+        """Drive the certifier's replay over the event log, to the endgame
+        given the finished ``result``, then compare the engine caches a replay
+        cannot see.  The first breach raises EngineInvariantError."""
         replay = self._replay
-        self._fed, self._ended = len(self.events), result  # for the reference replay in ``_breach``
-        if report := _drive(replay, self.events, result is not None, result):
+        if report := replay.drive(self.events, result is not None, result):
             raise EngineInvariantError(f"{report.prop}: {report.detail}")
         arrived, assign, buckets = self.next_arrival, replay.assign, self._buckets
         for u in range(arrived):
@@ -661,15 +656,11 @@ class GreedyDualEngine:
         self._banded, self._banded_sets = banded, len(replay.sets)
 
     def _breach(self):
-        """Under self-check, the stop sweep, made when the run ends or any
-        check raises: if it fails, the error to raise in place of any other,
-        the report of a reference replay rerun over the replay's input."""
-        if not self.self_check or self._replay.within_budgets():
-            return None
-        from .certify import _drive, _Replay
-
-        report = _drive(_Replay(self.inst, per_event=True), self.events[: self._fed], self._ended is not None, self._ended)
-        return None if report is None else EngineInvariantError(f"{report.prop}: {report.detail}")
+        """Under self-check, the replay's stop-sweep verdict, asked when the run
+        ends or any check raises: the error to raise in place of any other, if
+        a pair is over budget."""
+        if self.self_check and (report := self._replay.stop_sweep()):
+            return EngineInvariantError(f"{report.prop}: {report.detail}")
 
 
 def run(inst: Instance, self_check: bool = False) -> RunResult:

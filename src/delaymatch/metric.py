@@ -25,7 +25,7 @@ class InvalidPointError(ValueError):
 class MetricViolation:
     """Names the metric axiom a distance matrix breaks, and where."""
 
-    axiom: str  # 'identity' | 'symmetry' | 'triangle' | 'negative'
+    axiom: str  # 'shape' | 'identity' | 'symmetry' | 'triangle' | 'negative'
     points: tuple
 
     def describe(self) -> str:
@@ -215,6 +215,9 @@ def parse_metric(doc: dict, mode: str) -> Metric:
         rows = doc.get("dist")
         if not isinstance(rows, list) or not rows:
             raise InvalidPointError("matrix metric needs a nonempty 'dist' matrix")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise InvalidPointError(f"matrix row {i} must be a list, got {row!r}")
         dist = tuple(tuple(parse_scalar(x, mode) for x in row) for row in rows)
         return MatrixMetric(dist=dist)
     raise InvalidPointError(f"unknown metric kind {kind!r}")

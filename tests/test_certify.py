@@ -7,7 +7,6 @@ from math import inf, nan, nextafter
 import pytest
 
 from delaymatch.certify import (
-    _drive,
     _Replay,
     certify,
     certify_events,
@@ -17,6 +16,7 @@ from delaymatch.certify import (
 from delaymatch.engine import (
     GROW,
     MATCH,
+    MERGE,
     TIGHT,
     EventRecord,
     GreedyDualEngine,
@@ -149,6 +149,33 @@ def test_double_match_is_caught(tight4):
     assert verdict.prop in ("matching-validity", "trace-shape")
 
 
+# Requests 0 (+1) and 1 (-1) at position 0, 2 (+1) and 3 (-1) at 100, all at
+# time 0: the clean trace is four arrivals, then tight, merge and match of
+# (0, 1) at events 4-6 and of (2, 3) at events 7-9.
+FOUR_AT_ZERO = [(0, 0, 1), (0, 0, -1), (100, 0, 1), (100, 0, -1)]
+
+
+@pytest.mark.parametrize(
+    "variant, at, u, v, detail",
+    [
+        (MBPMD, 7, 0, 1, "request matched twice in pair (0, 1)"),
+        (MBPMD, 7, 0, 3, "request matched twice in pair (0, 3)"),  # 3 is free in another set
+        (MBPMD, 4, 0, 3, "pair (0, 3) matched across active sets"),
+        (MBPMD, 1, 0, 1, "pair (0, 1) matched across active sets"),  # 1 has not arrived
+        (MBPMD, 4, 0, 2, "matched pair (0, 2) is not eligible"),
+        (MBPMD, 7, 0, 2, "matched pair (0, 2) is not eligible"),  # 0 is matched too
+        (MPMD, 7, 1, 2, "request matched twice in pair (1, 2)"),
+    ],
+)
+def test_a_bad_match_is_named_by_the_first_check_it_fails(variant, at, u, v, detail):
+    inst = make_instance(variant, LINE, [(p, t, s if variant == MBPMD else 0) for p, t, s in FOUR_AT_ZERO])
+    events = list(run(inst).event_log)
+    assert [e.kind for e in events[4:10]] == [TIGHT, MERGE, MATCH] * 2
+    bad = EventRecord(t=events[at - 1].t, kind=MATCH, payload={"u": u, "v": v})
+    verdict = certify_events(inst, events[:at] + [bad] + events[at:])
+    assert (verdict.prop, verdict.detail, verdict.event_index) == ("matching-validity", detail, at)
+
+
 def _move_instant(events, t, new):
     """``events`` with every event at time ``t``, and the end of every growth
     interval there, moved to ``new``."""
@@ -217,9 +244,9 @@ def test_float_value_within_leq_but_above_the_budget_edge_is_a_breach():
     assert inst.budgets.cost[0, 2] == c and events[-1].t == x
     grow = next(i for i, e in enumerate(events) if e.kind == GROW and e.payload["set"] == 0)
     stop = _Replay(inst)
-    assert _drive(stop, events, True) is None  # every other check passes
+    assert stop.drive(events, True) is None  # every other check passes
     assert not stop.within_budgets()
-    reference = _drive(_Replay(inst, per_event=True), events, True)
+    reference = _Replay(inst, per_event=True).drive(events, True)
     assert (reference.prop, reference.event_index) == ("dual-feasibility", grow)
     assert reference.detail == "pair (0, 2) over budget after growth of set 0"
     assert certify_events(inst, events) == reference
@@ -414,7 +441,7 @@ def test_a_missing_marked_edge_is_named_at_its_active_set():
         replay.feed(events)
         u, v, _ = replay.marked.pop(i)
         rec = replay.sets[replay.assign[u]]
-        report = _drive(replay, events, True)
+        report = replay.drive(events, True)
         assert (report.prop, report.detail, report.event_index) == (
             "marked-forest",
             f"set {rec.set_id} holds {len(rec.members) - 2} marked edges over {len(rec.members)} requests",

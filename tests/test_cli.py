@@ -130,6 +130,55 @@ def test_expect_must_be_a_json_object(tight4_file, tmp_path):
     assert check.stdout == ""
 
 
+@pytest.fixture(scope="module")
+def tight4_trace(tight4_file, tmp_path_factory):
+    trace = tmp_path_factory.mktemp("expect") / "t.trace"
+    assert run_cli("run", str(tight4_file), "--trace", str(trace)).returncode == 0
+    return trace
+
+
+def _certify_expecting(tight4_file, trace, tmp_path, expected):
+    summary = tmp_path / "expect.json"
+    summary.write_text(json.dumps(expected))
+    return run_cli("certify", str(tight4_file), str(trace), "--expect", str(summary))
+
+
+# tight4 certifies with connection 8, waiting 7/2, m 4 and 15 sets, in exact mode.
+@pytest.mark.parametrize(
+    "expected",
+    [{"m": 4.0}, {"m": True}, {"num_sets": "15"}, {"connection_cost": 8.0}, {"waiting_cost": True}, {"waiting_cost": "7/"}],
+    ids=["float-count", "bool-count", "string-count", "float-cost-in-exact-mode", "bool-cost", "bad-rational"],
+)
+def test_expect_value_that_breaks_the_scalar_rule_is_an_input_error(tight4_file, tight4_trace, tmp_path, expected):
+    check = _certify_expecting(tight4_file, tight4_trace, tmp_path, expected)
+    assert check.returncode == 1, check.stdout + check.stderr
+    key = next(iter(expected))
+    assert check.stderr.startswith(f"delaymatch: error: --expect: {key}") and check.stderr.count("\n") == 1
+    assert check.stdout == ""
+
+
+def test_expect_costs_are_compared_by_value(tight4_file, tight4_trace, tmp_path):
+    same = {"connection_cost": "16/2", "waiting_cost": "14/4", "total_cost": "23/2", "m": 4}
+    check = _certify_expecting(tight4_file, tight4_trace, tmp_path, same)
+    assert check.returncode == 0, check.stdout + check.stderr
+    check = _certify_expecting(tight4_file, tight4_trace, tmp_path, {"waiting_cost": "14/3", "m": 5})
+    assert check.returncode == 2, check.stdout + check.stderr
+    assert json.loads(check.stdout)["mismatch"] == {
+        "waiting_cost": {"expected": "14/3", "actual": "7/2"},
+        "m": {"expected": 5, "actual": 4},
+    }
+
+
+@pytest.mark.parametrize("dist", ["[0, 1]", '[[0, 1], "10"]', '[[0, 1], {"1": 0, "0": 1}]'], ids=["flat", "string-row", "object-row"])
+def test_matrix_row_that_is_not_a_list_is_an_input_error(tmp_path, dist):
+    path = tmp_path / "inst.json"
+    metric = f'{{"kind": "matrix", "dist": {dist}}}'
+    path.write_text(f'{{"variant": "mpmd", "metric": {metric}, "requests": [{{"pos": 0, "atime": 0}}, {{"pos": 1, "atime": 0}}]}}')
+    proc = run_cli("run", str(path))
+    _assert_input_error(proc)
+    assert proc.stderr.startswith("delaymatch: error: bad metric: matrix row ")
+
+
 def test_opt_value(tight4_file):
     proc = run_cli("opt", str(tight4_file))
     assert proc.returncode == 0
@@ -254,6 +303,12 @@ def test_bench_rejects_bad_gen_spec():
     assert run_cli("bench", "--gen", "tightness").returncode == 1
     assert run_cli("bench", "--gen", "tightness:m=4,bogus=1").returncode == 1
     assert run_cli("bench", "--gen", "warp:m=4").returncode == 1
+
+
+def test_bench_gen_spec_refuses_a_repeated_key():
+    proc = run_cli("bench", "--gen", "tightness:m=2,m=4")
+    _assert_input_error(proc)
+    assert "key 'm' given twice" in proc.stderr
 
 
 # JSON texts of values that are not finite binary64 numbers.

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import inf, nan
 
@@ -167,6 +168,20 @@ def test_float_inputs_in_exact_mode_fail_at_construction_not_at_certification():
     # The decimals those floats were rounded to, as rationals, build and certify.
     inst = make_instance(MPMD, LineMetric(), [(Fraction(str(p)), Fraction(str(t)), 0) for p, t, _ in requests])
     assert certify(inst, run(inst)).ok
+
+
+@pytest.mark.parametrize(
+    "dist, row",
+    [([0, 1], "row 0 must be a list, got 0"), ([[0, 1], "10"], "row 1 must be a list, got '10'"), ([[0, 1], {"1": 0, "0": 1}], "row 1 ")],
+    ids=["flat", "string-row", "object-row"],
+)
+def test_matrix_row_that_is_not_a_list_is_a_bad_metric(dist, row):
+    metric = {"kind": "matrix", "dist": dist}
+    with pytest.raises(InstanceError, match=f"^bad metric: matrix {re.escape(row)}"):
+        make_instance(MPMD, metric, [(0, 0, 0), (1, 0, 0)])
+    doc = {"variant": MPMD, "metric": metric, "requests": [{"pos": 0, "atime": 0}, {"pos": 1, "atime": 0}]}
+    with pytest.raises(InstanceError, match=f"^bad metric: matrix {re.escape(row)}"):
+        parse_instance(doc)
 
 
 def test_broken_matrix_metric_rejected():
