@@ -7,14 +7,27 @@ trace) has to re-derive consistent state to slip through.  Checks fall into
 three groups:
 
 * admissibility of each event against the replayed state (clock discipline,
-  arrival order, growth bookkeeping, merge references);
-* state properties: at each settled instant, partition of arrived requests by
-  active sets, surplus counts, potential-equals-waiting for free requests;
-  where the replay stops, dual feasibility of every arrived eligible pair;
-* endgame properties: marked edges form a spanning forest with one tree per
-  active set and exactly tight budgets, waiting cost equals the dual
-  objective, matched pairs connect through the marked forest cheaply, and the
-  total cost respects the guarantee factor (2m + 1).
+  arrival order, growth bookkeeping, tight pairs at budget, merge references);
+* state properties: at each settled instant, surplus counts and
+  potential-equals-waiting for free requests; where the replay stops, dual
+  feasibility of every arrived eligible pair;
+* endgame properties: waiting cost equals the dual objective, matched pairs
+  connect through the marked forest cheaply, and the total cost respects the
+  guarantee factor (2m + 1).
+
+Admission alone keeps the laminar structure the certificate rests on, so no
+later check tests it again.  An arrival admits only the next request, into a
+new singleton set.  A tight event names an eligible pair across two active
+sets whose value is at its budget, and the next event must merge exactly the
+two active sets that hold that pair.  By induction, after every event:
+
+* the active sets partition the arrived requests, and ``assign`` names each
+  request's active set;
+* the marked edges inside each active set form a spanning tree of its
+  members (each merge adds one edge between two distinct trees), and no
+  marked edge crosses active sets;
+* each marked edge's frozen value is at its budget: the merge freezes the
+  value the tight event tested, with no event in between.
 
 The first failed check wins: certification returns a ViolationReport naming
 the property, a witness, and the index of the offending event.  Clean replays
@@ -55,7 +68,6 @@ full sweep after every growth event and settle, and its report stands.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -446,27 +458,10 @@ class _Replay:
         if self.settled == self.applied:
             return
         self.settled = self.applied
-        self._check_partition()
         self._check_surplus()
         self._check_potential()
         if self.per_event:
             self._sweep_feasibility("exceeds its budget")
-
-    def _check_partition(self):
-        seen = set()
-        for rec in self.sets:
-            if not rec.active:
-                continue
-            overlap = seen & rec.members
-            if overlap:
-                self._fail("partition", f"active sets overlap at request {min(overlap)}", set=rec.set_id)
-            seen |= rec.members
-            for u in rec.members:
-                if self.assign[u] != rec.set_id:
-                    self._fail("partition", f"request {u} not assigned to its containing set", u=u)
-        if seen != set(range(self.next_arrival)):
-            missing = set(range(self.next_arrival)) - seen
-            self._fail("partition", "active sets do not cover the arrived requests", missing=sorted(missing))
 
     def _check_surplus(self):
         for rec in self.sets:
@@ -571,55 +566,9 @@ class _Replay:
         for rec in self.sets:
             dual += rec.sur * rec.y
         self.connection, self.waiting, self.dual = connection, waiting, self.external(dual)
-        self._check_marked_forest()
-        self._check_marked_tightness()
         self._check_waiting_equals_dual()
         self._check_paths()
         self._check_total_bound()
-
-    def _check_marked_forest(self):
-        parent = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for u, v, _ in self.marked:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                self._fail("marked-forest", f"marked edges close a cycle at ({u}, {v})", u=u, v=v)
-            parent[ru] = rv
-        # ``_settle`` has checked ``assign`` against the active sets.
-        assign = self.assign
-        inside = Counter(assign[u] for u, v, _ in self.marked if assign[u] == assign[v])
-        for rec in self.sets:
-            if rec.active and inside[rec.set_id] != len(rec.members) - 1:
-                self._fail(
-                    "marked-forest",
-                    f"set {rec.set_id} holds {inside[rec.set_id]} marked edges over {len(rec.members)} requests",
-                    set=rec.set_id,
-                )
-        for u, v, _ in self.marked:
-            if assign[u] != assign[v]:
-                self._fail("marked-forest", f"marked edge ({u}, {v}) crosses active sets", u=u, v=v)
-
-    def _check_marked_tightness(self):
-        for u, v, _ in self.marked:
-            key = (u, v)
-            value, cost = self.frozen.get(key), self.cost[key]
-            if value is None or not self._at_budget(value, cost):
-                self._fail(
-                    "marked-tightness",
-                    f"marked edge ({u}, {v}) is not tight",
-                    u=u,
-                    v=v,
-                    value=None if value is None else self.external(value),
-                    budget=self.external(cost),
-                )
 
     def _check_waiting_equals_dual(self):
         waiting, dual = self.waiting, self.dual

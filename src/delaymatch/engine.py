@@ -14,8 +14,8 @@ distances, read as the instance holds them (ints and Fractions), and grows by
 a factor ``k`` (every stored int with it) when a time off the grid appears: a
 tight time half a step off, or an off-grid ``advance_to``.  Fractions are
 built only where values leave the engine: event times, ``SetRecord`` fields,
-``RunResult``, and the times taken and returned by ``next_event``,
-``advance_to`` and ``constraint_value``.  Every comparison is exact.  Float
+``RunResult``, and the times taken and returned by ``next_event`` and
+``advance_to``.  Every comparison is exact.  Float
 mode runs the same code on binary64 values; a pair with budget ``c`` goes
 tight when its value reaches ``c - tol(c)``, the budget-pair form of the
 tolerance rule stated in ``scalars``.
@@ -45,10 +45,6 @@ from math import gcd, lcm
 
 from .instance import Instance, require_finite_budgets, surplus
 from .scalars import EXACT, Scalar, dump_scalar, eq, parse_scalar, tol
-
-GROWING = "active-growing"
-NONGROWING = "active-nongrowing"
-INACTIVE = "inactive"
 
 ARRIVAL = "arrival"
 GROW = "grow-interval"
@@ -111,6 +107,9 @@ class SetRecord:
     """One ever-active set: members, surplus, accumulated dual value, links.
 
     Mutated only by the engine that owns it; treat as read-only afterwards.
+    ``free`` is current while the set is active; an inactive set keeps what
+    it held at its merge, though the merged set may have matched those
+    requests since.
     """
 
     set_id: int
@@ -120,14 +119,12 @@ class SetRecord:
     free: set
     parent: int = None  # set_id this one merged into
 
-    @property
-    def status(self) -> str:
-        return INACTIVE if self.parent is not None else GROWING if self.free else NONGROWING
-
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a run produced; immutable and safe to hand across threads."""
+    """Everything a run produced.  The fields cannot be reassigned, but
+    ``all_sets`` holds the engine's own ``SetRecord`` objects, which are
+    mutable."""
 
     variant: str
     mode: str
@@ -484,32 +481,6 @@ class GreedyDualEngine:
             rec.free.discard(x)
             rec.free.discard(partner)
             self._log(self.clock, MATCH, {"u": min(x, partner), "v": max(x, partner)})
-
-    def constraint_value(self, u: int, v: int) -> Scalar:
-        """Accumulated dual value charged against the (u, v) budget: the sum
-        of the endpoint potentials while the pair crosses active sets, frozen
-        at the merge that first put both endpoints in one active set.
-
-        The frozen value is derived: the y of the set that joined u and v,
-        and of every set it merged into, has since been added to both
-        potentials."""
-        n = len(self.inst.requests)
-        if not (0 <= u < n and 0 <= v < n) or u == v or not self.inst.eligible(u, v):
-            raise ValueError(f"pair ({u}, {v}) is not eligible")
-        value = self._external(self.potential[u] + self.potential[v])
-        if self.assign[u] is not None and self.assign[u] == self.assign[v]:
-            joined = next(rec for rec in self.sets if u in rec.members and v in rec.members)
-            value -= 2 * self._chain_y(joined.set_id)
-        return value
-
-    def _chain_y(self, sid: int) -> Scalar:
-        """Sum of y over set ``sid`` and every set it merged into."""
-        total = self._zero
-        while sid is not None:
-            rec = self.sets[sid]
-            total += rec.y
-            sid = rec.parent
-        return total
 
     # -- driving ----------------------------------------------------------
 

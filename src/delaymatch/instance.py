@@ -280,6 +280,8 @@ def parse_instance(doc, default: str = None) -> Instance:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or not {"pos", "atime"} <= set(entry):
             raise InstanceError(f"request {i} must be an object with pos and atime")
+        if unknown := set(entry) - {"pos", "atime", "sgn"}:
+            raise InstanceError(f"request {i}: unknown fields {sorted(unknown)}")
         sgn = entry.get("sgn", 0)
         if isinstance(sgn, bool) or not isinstance(sgn, int):
             raise InstanceError(f"request {i}: sgn must be an integer")

@@ -27,7 +27,7 @@ from delaymatch.engine import (
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
-from delaymatch.scalars import EXACT, FLOAT, leq, tol
+from delaymatch.scalars import EXACT, FLOAT, eq, leq, tol
 
 LINE = {"kind": "line"}
 
@@ -431,24 +431,6 @@ def test_certifying_leaves_the_shared_budget_table_as_it_was(monkeypatch):
     assert inst.budgets == gen_random_instance(seed=1, m=8, metric_kind="ring").budgets
 
 
-def test_a_missing_marked_edge_is_named_at_its_active_set():
-    inst = gen_random_instance(seed=11, m=10, metric_kind="line")
-    res = run(inst)
-    events = res.event_log
-    assert len({rec.set_id for rec in res.all_sets if rec.parent is None}) > 1
-    for i in range(res.num_marked_edges):
-        replay = _Replay(inst)
-        replay.feed(events)
-        u, v, _ = replay.marked.pop(i)
-        rec = replay.sets[replay.assign[u]]
-        report = replay.drive(events, True)
-        assert (report.prop, report.detail, report.event_index) == (
-            "marked-forest",
-            f"set {rec.set_id} holds {len(rec.members) - 2} marked edges over {len(rec.members)} requests",
-            -1,
-        )
-
-
 def test_marked_path_check_rejects_disconnected_pairs():
     # two far groups merge internally; no marked path joins them
     inst = make_instance(MPMD, LINE, [(0, 0, 0), (0, 0, 0), (100, 0, 0), (100, 0, 0)])
@@ -558,6 +540,82 @@ def test_clean_certificates_match_the_pinned_rational_replay():
     docs = [certify(inst, run(inst)).to_json() for inst in cases]
     assert all(doc["ok"] for doc in docs)
     assert _digest(docs) == "25ff8cebbb153466c5919f6ac7fc600d7ab8fda0c4057194bfeaf8a45b0e52ef"
+
+
+def _assert_admitted_structure(replay):
+    """The structure admission guarantees (see ``certify``), wherever a
+    replay stopped: the active sets partition the arrived requests and
+    ``assign`` names each one's set; the marked edges inside each active set
+    number one less than its members and close no cycle, and none crosses
+    active sets; each marked edge's frozen value is at its budget."""
+    active = [rec for rec in replay.sets if rec.active]
+    assert sorted(u for rec in active for u in rec.members) == list(range(replay.next_arrival))
+    assign = replay.assign
+    assert all(assign[u] == rec.set_id for rec in active for u in rec.members)
+    root = {}
+
+    def find(x):
+        while x in root:
+            x = root[x]
+        return x
+
+    for u, v, _ in replay.marked:
+        ru, rv = find(u), find(v)
+        assert ru != rv, f"marked edges close a cycle at ({u}, {v})"
+        root[ru] = rv
+    inside = [assign[u] for u, v, _ in replay.marked if assign[u] == assign[v]]
+    assert len(inside) == len(replay.marked), "a marked edge crosses active sets"
+    assert all(inside.count(rec.set_id) == len(rec.members) - 1 for rec in active)
+    assert all(replay._at_budget(replay.frozen[u, v], replay.cost[u, v]) for u, v, _ in replay.marked)
+
+
+def test_admission_keeps_the_laminar_structure(differential, monkeypatch):
+    """Every replay of the differential corpus, the per-event reference
+    included, stops in a state with the structure admission guarantees, and
+    the verdicts stay as they were."""
+    traces, verdicts = differential
+    drive, stops = _Replay.drive, []
+
+    def checked(replay, *args):
+        report = drive(replay, *args)
+        _assert_admitted_structure(replay)
+        stops.append(replay.per_event)
+        return report
+
+    monkeypatch.setattr(_Replay, "drive", checked)
+    assert [certify_events(inst, events).to_json() for inst, events in traces] == verdicts
+    assert stops.count(False) == len(traces) and stops.count(True) > 0
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_tightness_instance(20),
+        gen_tightness_instance(12, variant=MBPMD),
+        gen_ring_instance(16),
+        *(
+            gen_random_instance(seed=seed, m=16, variant=variant, metric_kind=kind)
+            for kind in ("line", "matrix", "ring", "euclidean")
+            for variant in (MPMD, MBPMD)
+            for seed in range(2)
+        ),
+    ],
+)
+def test_frozen_value_is_the_potentials_less_twice_the_shared_growth(inst):
+    """A merge freezes each pair it joins; the endpoints' potentials then
+    keep rising together by the ``y`` of every set holding both, so the
+    frozen value is their sum less twice that shared growth."""
+    replay = _Replay(inst)
+    assert replay.drive(list(run(inst).event_log), True) is None
+    assert replay.frozen
+    potential, zero = replay.potential, replay.zero
+    for (u, v), x in replay.frozen.items():
+        shared = sum((rec.y for rec in replay.sets if u in rec.members and v in rec.members), zero)
+        derived = potential[u] + potential[v] - 2 * shared
+        if inst.mode == EXACT:
+            assert x == derived, (u, v)
+        else:
+            assert eq(x, derived, FLOAT), (u, v, x, derived)
 
 
 def test_stop_sweep_verdicts_match_the_per_event_reference(differential, monkeypatch):

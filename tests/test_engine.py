@@ -14,7 +14,7 @@ from delaymatch.engine import (
     events_to_jsonl,
     run,
 )
-from delaymatch.certify import certify
+from delaymatch.certify import _Replay, certify
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, InstanceError, make_instance
 from delaymatch.metric import EuclideanMetric
@@ -79,7 +79,7 @@ def test_odd_subset_keeps_growing_until_partner_arrives():
     )
     res = run(inst, self_check=True)
     assert [(u, v) for u, v, _ in res.matching] == [(0, 2), (1, 3)]
-    assert all(not s.free for s in res.all_sets if s.status != "inactive")
+    assert all(not s.free for s in res.all_sets if s.parent is None)
 
 
 def test_event_log_shape():
@@ -135,26 +135,28 @@ def test_summary_keys_and_types():
 
 
 def test_stepwise_constraint_values():
+    """Stepping the engine by hand: the pair's value, as the certifier's
+    replay derives it from the log so far, rises while the pair crosses
+    active sets and is frozen at its merge."""
     inst = line_instance([(0, 0, 0), (4, 0, 0)])
     eng = GreedyDualEngine(inst)
+    replay = _Replay(inst)
+
+    def value():
+        assert replay.drive(eng.events) is None
+        return replay.external(replay.pair_value(0, 1))
+
     assert eng.next_event() == (Fraction(0), ARRIVAL)
     assert eng.step()  # both arrivals at t=0
-    assert eng.constraint_value(0, 1) == 0
+    assert value() == 0
     eng.advance_to(Fraction(1))
-    assert eng.constraint_value(0, 1) == 2
+    assert value() == 2
     assert eng.next_event() == (Fraction(2), "tight")
     assert eng.step()  # the merge at t=2
-    assert eng.constraint_value(0, 1) == 4  # frozen at the merge value
+    assert value() == 4  # frozen at the merge value
     assert eng.next_event() is None
     res = eng.run()  # already settled; run just assembles the result
     assert res.total_cost == 8
-
-
-def test_constraint_value_rejects_ineligible_pairs():
-    inst = line_instance([(0, 0, 1), (1, 0, 1), (2, 0, -1), (3, 0, -1)], variant=MBPMD)
-    eng = GreedyDualEngine(inst)
-    with pytest.raises(ValueError):
-        eng.constraint_value(0, 1)
 
 
 def test_clock_cannot_move_backwards():

@@ -198,6 +198,11 @@ def test_parse_rejects_unknown_fields():
     }
     with pytest.raises(InstanceError):
         parse_instance(doc)
+    # A misspelt request field is refused, not ignored.
+    del doc["comment"]
+    doc["requests"][0] = {"pos": 0, "atime": 0, "atme": 5}
+    with pytest.raises(InstanceError, match=r"^request 0: unknown fields \['atme'\]$"):
+        parse_instance(doc)
 
 
 def test_parse_dump_round_trip():

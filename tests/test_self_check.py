@@ -367,13 +367,13 @@ def test_self_check_names_a_breach_as_a_per_event_sweep_does(bug, expected):
 def test_each_instant_settles_once(inst, monkeypatch):
     """The replay checks each settled instant once, whether the self-check
     feeds it step by step or ``certify`` replays the finished trace."""
-    check_partition, calls = _Replay._check_partition, []
+    check_surplus, calls = _Replay._check_surplus, []
 
     def counted(replay):
         calls.append(replay.clock)
-        check_partition(replay)
+        check_surplus(replay)
 
-    monkeypatch.setattr(_Replay, "_check_partition", counted)
+    monkeypatch.setattr(_Replay, "_check_surplus", counted)
     res = GreedyDualEngine(inst, self_check=True).run()
     instants = sorted({ev.t for ev in res.event_log})
     assert calls == instants
