@@ -29,6 +29,15 @@ two active sets that hold that pair.  By induction, after every event:
 * each marked edge's frozen value is at its budget: the merge freezes the
   value the tight event tested, with no event in between.
 
+The endgame routes each matched pair with ``marked_path`` through the merge
+tree this builds (``_Replay.router``): the marked forest is rooted once, and
+a pair's path is the two parent chains up to their meeting point.  An edge
+marked by the merge that created set C joins members of C's two children, so
+the sets it leaves are those on the two merge-tree chains from its ends'
+singletons up to C; counting them per path edge gives every set's crossings.
+Without the router, ``marked_path`` is the reference route, a search of the
+whole forest and a count against every set; ``marked_path_check`` uses it.
+
 The first failed check wins: certification returns a ViolationReport naming
 the property, a witness, and the index of the offending event.  Clean replays
 return a DualCertificate with the re-derived totals and per-pair slacks.
@@ -49,8 +58,10 @@ a growth endpoint with denominator ``den`` falls off the grid, ``S`` grows by
 ``k = den // gcd(S, den)`` and every scaled int is multiplied by ``k`` into
 new containers; the shared table stays as it was.  None of it is engine code,
 so one bug cannot fool both.  Fractions are built only for witnesses and
-messages, the totals and ``edge_slacks``.  Float mode runs the same code on
-the floats themselves, with no scale.
+messages and the totals.  A ``DualCertificate`` keeps the scaled slacks and
+the scale: ``edge_slacks`` and ``min_slack`` build Fractions when read, and
+``to_json`` prints each slack from its int with ``scalars.dump_ratio``.
+Float mode runs the same code on the floats themselves, with no scale.
 
 Dual feasibility is checked once, where the replay stops: at the end, at
 its first violation, or where an engine guard or cache check raises under
@@ -74,14 +85,19 @@ from math import gcd
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, EventRecord, RunResult
 from .instance import Instance, surplus
-from .scalars import Scalar, dump_scalar, eq, is_scalar, leq, tol
+from .scalars import Scalar, dump_ratio, dump_scalar, eq, is_scalar, leq, tol
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """A verified run: re-derived totals plus the slack of every constraint."""
+    """A verified run: re-derived totals plus the slack of every constraint.
+
+    The slacks are kept as the replay computed them: scaled ints over
+    ``scale`` in exact mode, floats in float mode (``scale`` None).  Reading
+    ``edge_slacks`` or ``min_slack`` builds their values; ``to_json`` prints
+    them straight from the ints."""
 
     mode: str
     m: int
@@ -92,18 +108,32 @@ class DualCertificate:
     num_events: int
     num_sets: int
     num_marked_edges: int
-    edge_slacks: tuple  # ((u, v, slack), ...) sorted by pair, final values
+    slacks: tuple  # ((u, v, scaled slack), ...) sorted by pair, final values
+    scale: int  # None in float mode
 
     @property
     def ok(self) -> bool:
         return True
 
     @property
+    def edge_slacks(self) -> tuple:
+        """((u, v, slack), ...) sorted by pair, final values."""
+        scale = self.scale
+        if scale is None:
+            return self.slacks
+        return tuple((u, v, Fraction(s, scale)) for u, v, s in self.slacks)
+
+    @property
     def min_slack(self):
-        return min((s for _, _, s in self.edge_slacks), default=None)
+        least = min((s for _, _, s in self.slacks), default=None)
+        return least if least is None or self.scale is None else Fraction(least, self.scale)
 
     def to_json(self) -> dict:
-        mode, min_slack = self.mode, self.min_slack
+        mode, scale, least = self.mode, self.scale, self.min_slack
+
+        def dump(s):
+            return dump_scalar(s, mode) if scale is None else dump_ratio(s, scale)
+
         return {
             "ok": True,
             "m": self.m,
@@ -114,10 +144,8 @@ class DualCertificate:
             "num_events": self.num_events,
             "num_sets": self.num_sets,
             "num_marked_edges": self.num_marked_edges,
-            "min_slack": None if min_slack is None else dump_scalar(min_slack, mode),
-            "edge_slacks": [
-                [u, v, dump_scalar(s, mode)] for u, v, s in self.edge_slacks
-            ],
+            "min_slack": None if least is None else dump_scalar(least, mode),
+            "edge_slacks": [[u, v, dump(s)] for u, v, s in self.slacks],
         }
 
 
@@ -170,6 +198,7 @@ class _RSet:
         "free",
         "active",
         "growth_end",
+        "parent",
     )
 
     def __init__(self, set_id, members, sur, free, clock, zero):
@@ -180,6 +209,7 @@ class _RSet:
         self.free = free
         self.active = True
         self.growth_end = clock
+        self.parent = None  # the set its merge created
 
 
 class _Replay:
@@ -201,7 +231,9 @@ class _Replay:
         self.assign = [None] * n
         self.sets: list[_RSet] = []
         self.frozen = {}
+        self.leaf = []  # request -> the singleton set its arrival created
         self.marked = []
+        self.marked_by = []  # the set created by the merge that marked each edge, as ``marked``
         self.matching = []
         self.pending_tight = None
         self.index = -1
@@ -323,6 +355,7 @@ class _Replay:
         sid = len(self.sets)
         self.sets.append(_RSet(sid, frozenset({u}), 1, {u}, self._clock, self.zero))
         self.assign[u] = sid
+        self.leaf.append(sid)
 
     def _ev_grow(self, ev):
         sid = ev.payload.get("set")
@@ -418,10 +451,12 @@ class _Replay:
                 if k in cost:
                     frozen[k] = potential[x] + potential[w]
         ra.active = rb.active = False
+        ra.parent = rb.parent = sid
         self.sets.append(rec)
         for w in members:
             self.assign[w] = sid
-        self.marked.append((self.pending_tight[0], self.pending_tight[1], self.clock))
+        self.marked.append((tu, tv, self.clock))
+        self.marked_by.append(sid)
         self.pending_tight = None
 
     def _ev_match(self, ev):
@@ -582,9 +617,10 @@ class _Replay:
             )
 
     def _check_paths(self):
-        dual = self.dual
+        inst, marked, sets = self.inst, self.marked, self.sets
+        dual, route = self.dual, self.router()
         for u, v, _ in self.matching:
-            check = marked_path(self.inst, self.marked, self.sets, (u, v))
+            check = marked_path(inst, marked, sets, (u, v), route)
             if check is None:
                 self._fail("path-bound", f"no marked path joins matched pair ({u}, {v})", u=u, v=v)
             if not leq(check.distance, check.path_length, self.mode):
@@ -625,18 +661,103 @@ class _Replay:
                 bound=bound,
             )
 
-    def edge_slacks(self):
-        external, pair_value = self.external, self.pair_value
-        return tuple((u, v, external(c - pair_value(u, v))) for (u, v), c in self.cost.items())
+    def router(self):
+        """Root the marked forest once and return ``route(u, v)`` for
+        ``marked_path``: the marked path from ``u`` to ``v`` and its maximum
+        crossings of any set, or None when no marked path joins them.
+
+        The path is the two parent chains up to their meeting point.  An edge
+        marked by the merge that created set C joins a member of each of C's
+        two children, so the sets it leaves are those on the two merge-tree
+        chains from its ends' singletons up to C, exclusive.  Counting them
+        for every path edge gives every set's crossings."""
+        n = len(self.inst.requests)
+        adj = [[] for _ in range(n)]
+        for (x, w, _), c in zip(self.marked, self.marked_by):
+            adj[x].append((w, c))
+            adj[w].append((x, c))
+        # up[x] is x's parent in the rooted forest, joined by an edge that the
+        # merge creating set up_set[x] marked; depth[x] is its distance to the root.
+        up, up_set, depth = [None] * n, [None] * n, [None] * n
+        for root in range(n):
+            if depth[root] is not None:
+                continue
+            depth[root] = 0
+            queue = [root]
+            for x in queue:
+                for w, c in adj[x]:
+                    if depth[w] is None:
+                        up[w], up_set[w], depth[w] = x, c, depth[x] + 1
+                        queue.append(w)
+        parent = [rec.parent for rec in self.sets]
+        leaf = self.leaf
+
+        def route(u, v):
+            left, right = [u], [v]
+            a, b = u, v
+            while depth[a] > depth[b]:
+                a = up[a]
+                left.append(a)
+            while depth[b] > depth[a]:
+                b = up[b]
+                right.append(b)
+            while a != b:
+                if up[a] is None:
+                    return None
+                a, b = up[a], up[b]
+                left.append(a)
+                right.append(b)
+            crossings = {}
+            for chain in (left, right):
+                for x in chain[:-1]:
+                    top = up_set[x]
+                    for end in (x, up[x]):
+                        s = leaf[end]
+                        while s != top:
+                            crossings[s] = crossings.get(s, 0) + 1
+                            s = parent[s]
+            return left + right[-2::-1], max(crossings.values(), default=0)
+
+        return route
+
+    def slacks(self):
+        """Each eligible pair's scaled slack, (u, v, slack), sorted by pair."""
+        pair_value = self.pair_value
+        return tuple((u, v, c - pair_value(u, v)) for (u, v), c in self.cost.items())
 
 
-def marked_path(inst, marked, sets, pair):
+def marked_path(inst, marked, sets, pair, route=None):
     """Route ``pair`` through the marked forest; None when disconnected.
 
-    ``sets`` may be engine SetRecords or replay records; only ``members`` is
-    read.  Crossing counts consider every recorded set, active or not.
+    With ``route``, a replay's ``router()``, the path and its crossings come
+    from the merge tree: this is how the certifier routes each matched pair.
+    Without it the forest is searched whole and the path's crossings are
+    counted against every set in ``sets``, active or not (engine SetRecords
+    or replay records; only ``members`` is read): the reference route, which
+    ``marked_path_check`` uses.
     """
     u, v = pair
+    found = _search(marked, sets, u, v) if route is None else route(u, v)
+    if found is None:
+        return None
+    path, max_cross = found
+    budgets = inst.budgets
+    length = 0
+    for x, w in zip(path, path[1:]):
+        length += budgets.cost[(x, w) if x < w else (w, x)]
+    distance = inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
+    return PathCheck(
+        pair=(u, v),
+        path=tuple(path),
+        path_length=budgets.value(length),
+        distance=distance,
+        max_crossings=max_cross,
+    )
+
+
+def _search(marked, sets, u, v):
+    """(path, max crossings) of the marked path from ``u`` to ``v`` found by a
+    search of the whole forest, or None when there is none."""
     adj = {}
     for a, b, _ in marked:
         adj.setdefault(a, []).append(b)
@@ -657,23 +778,12 @@ def marked_path(inst, marked, sets, pair):
     while path[-1] != u:
         path.append(prev[path[-1]])
     path.reverse()
-    budgets = inst.budgets
-    length = 0
-    for x, w in zip(path, path[1:]):
-        length += budgets.cost[(x, w) if x < w else (w, x)]
     max_cross = 0
     for rec in sets:
         members = rec.members
         cross = sum(1 for x, w in zip(path, path[1:]) if (x in members) != (w in members))
         max_cross = max(max_cross, cross)
-    distance = inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
-    return PathCheck(
-        pair=(u, v),
-        path=tuple(path),
-        path_length=budgets.value(length),
-        distance=distance,
-        max_crossings=max_cross,
-    )
+    return path, max_cross
 
 
 def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
@@ -700,7 +810,8 @@ def _certify(inst: Instance, events, result=None):
         num_events=len(events),
         num_sets=len(replay.sets),
         num_marked_edges=len(replay.marked),
-        edge_slacks=replay.edge_slacks(),
+        slacks=replay.slacks(),
+        scale=replay.scale,
     )
 
 

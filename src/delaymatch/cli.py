@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -363,7 +364,10 @@ def _cmd_bench(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so ``main`` reuses it on every call."""
     parser = _Parser(prog="delaymatch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -159,25 +159,50 @@ class RunResult:
         }
 
 
-# json.dumps's own bytes, but strict: a NaN or infinite time raises ValueError.
+_TIMES = ("from", "to")  # the payload fields that hold times
+
+# A time's JSON text as json.dumps writes it, but strict: NaN or infinity raises ValueError.
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def event_to_json(ev: EventRecord, mode: str) -> str:
-    payload = {
-        k: (dump_scalar(v, mode) if k in ("from", "to") else v)
-        for k, v in ev.payload.items()
-    }
-    return _encode({"t": dump_scalar(ev.t, mode), "kind": ev.kind, "payload": payload})
-
-
 def events_to_jsonl(result: RunResult) -> str:
-    return "".join(event_to_json(ev, result.mode) + "\n" for ev in result.event_log)
+    """The event log as JSON lines: per event, the bytes ``json.dumps`` gives
+    ``{"t": t, "kind": kind, "payload": payload}`` with every time dumped by
+    ``dump_scalar``.  The kinds and the payload's other fields are the
+    engine's names and ints.  Each time's text is computed once per time
+    object, which is once per instant: the engine logs one object for all
+    the events of an instant, and the log keeps each alive, so its id is not
+    reused.  A NaN or infinite time raises ValueError."""
+    mode, texts = result.mode, {}
+
+    def text(t):
+        s = texts.get(id(t))
+        if s is None:
+            s = texts[id(t)] = _encode(dump_scalar(t, mode))
+        return s
+
+    lines = []
+    for ev in result.event_log:
+        payload = ", ".join(f'"{k}": {text(x) if k in _TIMES else x}' for k, x in ev.payload.items())
+        lines.append(f'{{"t": {text(ev.t)}, "kind": "{ev.kind}", "payload": {{{payload}}}}}\n')
+    return "".join(lines)
 
 
 def events_from_jsonl(text: str, mode: str):
-    """Parse a trace back into EventRecords (for post-hoc verification)."""
-    events = []
+    """Parse a trace back into EventRecords (for post-hoc verification).
+    Each distinct time string is parsed once per trace."""
+    events, times = [], {}
+
+    def time(raw):
+        # A "p/q" string or an int is kept by value; any other JSON value is
+        # parsed each time, as equal keys would merge 0.0 with -0.0 and true with 1.
+        if type(raw) is not str and type(raw) is not int:
+            return parse_scalar(raw, mode)
+        t = times.get(raw)
+        if t is None:
+            t = times[raw] = parse_scalar(raw, mode)
+        return t
+
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -188,8 +213,8 @@ def events_from_jsonl(text: str, mode: str):
                 raise ValueError(f"payload must be an object, got {type(raw).__name__}")
             if not isinstance(kind, str):
                 raise ValueError(f"kind must be a string, got {type(kind).__name__}")
-            payload = {k: (parse_scalar(v, mode) if k in ("from", "to") else v) for k, v in raw.items()}
-            events.append(EventRecord(t=parse_scalar(doc["t"], mode), kind=kind, payload=payload))
+            payload = {k: (time(v) if k in _TIMES else v) for k, v in raw.items()}
+            events.append(EventRecord(t=time(doc["t"]), kind=kind, payload=payload))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
     return events

@@ -198,20 +198,32 @@ def validate_metric(metric: Metric) -> Optional[MetricViolation]:
     return metric.validate()
 
 
+def _refuse_unknown(doc: dict, *fields) -> None:
+    """Raise unless ``doc`` has no fields but ``kind`` and ``fields``."""
+    unknown = set(doc) - {"kind", *fields}
+    if unknown:
+        raise InvalidPointError(f"{doc['kind']} metric: unknown fields {sorted(unknown)}")
+
+
 def parse_metric(doc: dict, mode: str) -> Metric:
-    """Build a metric from its JSON form, raising on malformed payloads."""
+    """Build a metric from its JSON form, raising on malformed payloads and
+    on fields its kind does not have."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidPointError(f"metric must be an object with a 'kind', got {doc!r}")
     kind = doc["kind"]
     if kind == "line":
+        _refuse_unknown(doc)
         return LineMetric()
     if kind == "euclidean":
+        _refuse_unknown(doc)
         return EuclideanMetric()
     if kind == "ring":
+        _refuse_unknown(doc, "h")
         if "h" not in doc:
             raise InvalidPointError("ring metric needs a circumference 'h'")
         return RingMetric(h=parse_scalar(doc["h"], mode))
     if kind == "matrix":
+        _refuse_unknown(doc, "dist")
         rows = doc.get("dist")
         if not isinstance(rows, list) or not rows:
             raise InvalidPointError("matrix metric needs a nonempty 'dist' matrix")

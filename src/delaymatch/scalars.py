@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Scalar = Union[Fraction, int, float]
@@ -89,6 +90,15 @@ def dump_scalar(value: Scalar, mode: str):
             return int(frac)
         return f"{frac.numerator}/{frac.denominator}"
     return float(value)
+
+
+def dump_ratio(num: int, den: int):
+    """``dump_scalar`` of the exact value ``num / den`` for ints ``num`` and
+    ``den > 0``, without building a Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return num // den
+    return f"{num // g}/{den // g}"
 
 
 def tol(c: float) -> float:

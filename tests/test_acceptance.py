@@ -20,6 +20,7 @@ from delaymatch.engine import GreedyDualEngine, run
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD
 from delaymatch.offline import opt_brute, opt_hungarian
+from test_certify import route_pairs
 
 CLI = [sys.executable, "-m", "delaymatch.cli"]
 
@@ -141,6 +142,14 @@ def test_check_06_matched_pairs_ride_cheap_marked_paths(corpus):
             if check.distance > 2 * res.dual_objective:
                 failures.append(("dual", u, v))
     _verdict(6, "marked-path bounds for every matched pair", failures)
+
+
+def test_merge_tree_routes_are_the_marked_paths(corpus, float_corpus):
+    """The certifier's endgame routes every matched pair of both corpora as
+    the reference ``marked_path`` does: same path, length and crossings."""
+    routes = [pair for inst, res, *_ in corpus + float_corpus for pair in route_pairs(inst, list(res.event_log))]
+    assert len(routes) == sum(inst.m for inst, *_ in corpus + float_corpus)
+    assert all(route == reference for route, reference in routes)
 
 
 def test_check_07_adversarial_schedule_hits_the_bound():

@@ -10,6 +10,7 @@ from delaymatch.certify import (
     _Replay,
     certify,
     certify_events,
+    marked_path,
     marked_path_check,
     ratio_report,
 )
@@ -27,7 +28,7 @@ from delaymatch.engine import (
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
-from delaymatch.scalars import EXACT, FLOAT, eq, leq, tol
+from delaymatch.scalars import EXACT, FLOAT, dump_scalar, eq, leq, tol
 
 LINE = {"kind": "line"}
 
@@ -55,6 +56,28 @@ def test_certificate_serializes(tight4):
     assert doc["ok"] is True
     assert doc["total_cost"] == "23/2"
     assert doc["min_slack"] == 0
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_tightness_instance(6, variant=MBPMD),
+        gen_random_instance(seed=1, m=8, metric_kind="ring"),
+        gen_random_instance(seed=2, m=8, variant=MBPMD, metric_kind="euclidean"),
+    ],
+    ids=lambda inst: inst.metric.kind,
+)
+def test_certificate_prints_the_slacks_it_reads(inst):
+    """The slacks are kept scaled: ``edge_slacks`` and ``min_slack`` build
+    their values on reading, ``to_json`` prints them from the scaled ints,
+    and both give the same numbers."""
+    cert = certify(inst, run(inst))
+    doc = cert.to_json()
+    assert cert.edge_slacks and all(type(s) is (Fraction if inst.mode == EXACT else float) for *_, s in cert.edge_slacks)
+    assert any(s != int(s) for *_, s in cert.edge_slacks)  # fractional slacks, not only ints
+    assert doc["edge_slacks"] == [[u, v, dump_scalar(s, inst.mode)] for u, v, s in cert.edge_slacks]
+    assert cert.min_slack == min(s for *_, s in cert.edge_slacks)
+    assert doc["min_slack"] == dump_scalar(cert.min_slack, inst.mode)
 
 
 def test_trace_round_trip_certifies(tight4):
@@ -540,6 +563,52 @@ def test_clean_certificates_match_the_pinned_rational_replay():
     docs = [certify(inst, run(inst)).to_json() for inst in cases]
     assert all(doc["ok"] for doc in docs)
     assert _digest(docs) == "25ff8cebbb153466c5919f6ac7fc600d7ab8fda0c4057194bfeaf8a45b0e52ef"
+
+
+def route_pairs(inst, events):
+    """(merge-tree route, reference ``marked_path``) for each matched pair
+    of a clean replay of ``events``."""
+    replay = _Replay(inst)
+    assert replay.drive(events, True) is None
+    route, marked, sets = replay.router(), replay.marked, replay.sets
+    return [
+        (marked_path(inst, marked, sets, (u, v), route), marked_path(inst, marked, sets, (u, v)))
+        for u, v, _ in replay.matching
+    ]
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_tightness_instance(50),
+        gen_tightness_instance(50, variant=MBPMD),
+        gen_ring_instance(32),
+        gen_ring_instance(32, covered_half="ccw"),
+        *(
+            gen_random_instance(seed=seed, m=12, variant=variant, metric_kind=kind)
+            for kind in ("line", "ring", "matrix", "euclidean")
+            for variant in (MPMD, MBPMD)
+            for seed in range(3)
+        ),
+    ],
+    ids=lambda inst: f"{inst.metric.kind}-{inst.variant}-m{inst.m}",
+)
+def test_merge_tree_routes_are_the_marked_paths(inst):
+    """The endgame routes each matched pair through the merge tree; it must
+    give the path, length and crossing count of the reference BFS route."""
+    pairs = route_pairs(inst, list(run(inst).event_log))
+    assert len(pairs) == inst.m
+    for route, reference in pairs:
+        assert route == reference
+
+
+def test_merge_tree_routes_are_the_marked_paths_on_the_differential_corpus(differential):
+    traces, verdicts = differential
+    clean = [trace for trace, verdict in zip(traces, verdicts) if verdict["ok"]]
+    assert len(clean) > len(traces) // 10
+    for inst, events in clean:
+        for route, reference in route_pairs(inst, events):
+            assert route == reference
 
 
 def _assert_admitted_structure(replay):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from delaymatch import cli
 from delaymatch.instance import parse_instance
 
 CLI = [sys.executable, "-m", "delaymatch.cli"]
@@ -422,3 +423,19 @@ def test_float_ring_position_just_below_zero_wraps_to_zero(tmp_path):
     path.write_text(doc)
     proc = run_cli("run", str(path), "--certify")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_in_process_calls_share_one_parser(capsys):
+    """``main`` reuses one parser per process; a usage error leaves it as it
+    was for the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["gen", "ring", "--m", "6"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "ring"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert cli.main(["gen", "ring", "--m", "6"]) == 0
+    assert capsys.readouterr().out == first
+    assert cli.main(["gen", "tightness", "--m", "4", "--variant", "mbpmd"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "mbpmd"

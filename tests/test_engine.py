@@ -1,7 +1,11 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
 
+from delaymatch import engine
 from delaymatch.engine import (
     ARRIVAL,
     GROW,
@@ -197,6 +201,48 @@ def test_events_jsonl_rejects_garbage():
         events_from_jsonl('{"kind": "arrival"}\n', "exact")
     with pytest.raises(ValueError):
         events_from_jsonl("not json\n", "exact")
+
+
+@pytest.mark.parametrize("bad", [nan, inf, -inf])
+def test_a_non_finite_time_is_not_written(bad):
+    """The writer is strict JSON: a NaN or infinite event time, or growth
+    endpoint, raises ValueError instead of printing NaN or Infinity."""
+    res = run(make_instance(MPMD, LINE, [(0, 0, 0), (1, 0, 0)], mode=FLOAT))
+    log = list(res.event_log)
+    grow = next(i for i, ev in enumerate(log) if ev.kind == GROW)
+    for i, ev in ((0, replace(log[0], t=bad)), (grow, replace(log[grow], payload={**log[grow].payload, "to": bad}))):
+        with pytest.raises(ValueError):
+            events_to_jsonl(replace(res, event_log=(*log[:i], ev, *log[i + 1 :])))
+
+
+def test_each_time_is_written_once_per_instant(monkeypatch):
+    res = run(gen_random_instance(seed=1, m=12, metric_kind="ring"))
+    dumped = []
+    dump = engine.dump_scalar
+    monkeypatch.setattr(engine, "dump_scalar", lambda t, mode: (dumped.append(t), dump(t, mode))[1])
+    events_to_jsonl(res)
+    assert sorted(dumped) == sorted({ev.t for ev in res.event_log})
+
+
+def test_each_distinct_time_string_is_parsed_once(monkeypatch):
+    res = run(gen_random_instance(seed=1, m=12, metric_kind="ring"))
+    text = events_to_jsonl(res)
+    parsed = []
+    parse = engine.parse_scalar
+    monkeypatch.setattr(engine, "parse_scalar", lambda raw, mode: (parsed.append(raw), parse(raw, mode))[1])
+    assert events_from_jsonl(text, res.mode) == list(res.event_log)
+    assert any(type(raw) is str for raw in parsed)  # off-grid times are "p/q" strings
+    assert len(parsed) == len(set(parsed))
+
+
+def test_a_bad_time_string_is_named_at_its_first_line():
+    lines = events_to_jsonl(run(gen_tightness_instance(4))).splitlines(keepends=True)
+    for i in (2, 4):  # lines 3 and 5
+        doc = json.loads(lines[i])
+        doc["t"] = "1/0"
+        lines[i] = json.dumps(doc) + "\n"
+    with pytest.raises(ValueError, match=r"^trace line 3: bad rational literal '1/0'"):
+        events_from_jsonl("".join(lines), "exact")
 
 
 def test_marked_edges_one_per_merge():

@@ -13,6 +13,7 @@ from delaymatch.generators import gen_random_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.metric import EuclideanMetric
 from delaymatch.scalars import EPS_TIGHT, FLOAT, tol
+from test_golden_traces import reference_jsonl
 from test_properties import instances
 
 
@@ -110,6 +111,14 @@ def test_float_near_tie_traces_match_the_flat_scan():
         assert outcome(GreedyDualEngine, inst) == reference, seed
         ties_differ += outcome(TiesOnly, inst) != reference
     assert ties_differ > 300
+
+
+def test_float_near_tie_traces_match_the_reference_encoder():
+    """Near-tie times print with all their digits: the writer gives the
+    reference encoder's bytes on the whole family."""
+    for seed in range(1000):
+        result = run(near_tie_instance(seed))
+        assert events_to_jsonl(result) == reference_jsonl(result), seed
 
 
 # Near-tie runs that end with ``total-bound``: each has pairs whose budgets

@@ -16,11 +16,26 @@ from pathlib import Path
 
 import pytest
 
-from delaymatch.engine import GreedyDualEngine, events_to_jsonl, run
+from delaymatch.engine import EventRecord, GreedyDualEngine, events_to_jsonl, run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
+from delaymatch.scalars import dump_scalar
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
+
+# The reference trace encoder: each event as one dict through json's own
+# encoder, strict, so a NaN or infinite time raises ValueError.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def event_to_json(ev: EventRecord, mode: str) -> str:
+    payload = {k: (dump_scalar(v, mode) if k in ("from", "to") else v) for k, v in ev.payload.items()}
+    return _encode({"t": dump_scalar(ev.t, mode), "kind": ev.kind, "payload": payload})
+
+
+def reference_jsonl(result) -> str:
+    """The bytes ``events_to_jsonl`` must write for ``result``."""
+    return "".join(event_to_json(ev, result.mode) + "\n" for ev in result.event_log)
 
 RANDOM_SIZES = (1, 2, 3, 5, 8, 12, 17, 22, 26, 30)  # m for seeds 0..9
 FLOAT_SIZES = (6, 12, 20, 30)  # m for euclidean seeds 0..3
@@ -84,7 +99,9 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_and_summary_match_golden(name):
     golden = json.loads(GOLDEN.read_text())
-    assert digests(CASES[name]()) == golden[name]
+    result = CASES[name]()
+    assert digests(result) == golden[name]
+    assert events_to_jsonl(result) == reference_jsonl(result)
 
 
 if __name__ == "__main__":

@@ -205,6 +205,26 @@ def test_parse_rejects_unknown_fields():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "metric, unknown",
+    [
+        ({"kind": "ring", "h": 1, "H": 3}, "ring metric: unknown fields ['H']"),
+        ({"kind": "line", "hh": 5}, "line metric: unknown fields ['hh']"),
+        ({"kind": "matrix", "dist": [[0, 1], [1, 0]], "x": 1}, "matrix metric: unknown fields ['x']"),
+        ({"kind": "euclidean", "h": 1}, "euclidean metric: unknown fields ['h']"),
+    ],
+)
+def test_unknown_metric_fields_are_refused_by_both_entry_points(metric, unknown):
+    doc = {"variant": MPMD, "metric": metric, "requests": [{"pos": 0, "atime": 0}, {"pos": 1, "atime": 0}]}
+    if metric["kind"] == "euclidean":
+        doc["requests"] = [{"pos": [0, 0], "atime": 0}, {"pos": [1, 0], "atime": 0}]
+    with pytest.raises(InstanceError) as parsed:
+        parse_instance(doc)
+    with pytest.raises(InstanceError) as made:
+        make_instance(MPMD, metric, [(r["pos"], r["atime"], 0) for r in doc["requests"]])
+    assert str(parsed.value) == str(made.value) == f"bad metric: {unknown}"
+
+
 def test_parse_dump_round_trip():
     inst = line_instance([(Fraction(1, 2), Fraction(0), 0), (Fraction(5, 2), Fraction(3, 4), 0)])
     doc = dump_instance(inst)

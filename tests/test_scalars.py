@@ -9,6 +9,7 @@ from delaymatch.scalars import (
     EXACT,
     FLOAT,
     ScalarError,
+    dump_ratio,
     dump_scalar,
     eq,
     is_scalar,
@@ -70,6 +71,14 @@ def test_dump_integral_rationals_as_ints():
     assert dump_scalar(Fraction(6, 2), EXACT) == 3
     assert dump_scalar(Fraction(1, 3), EXACT) == "1/3"
     assert dump_scalar(0.5, FLOAT) == 0.5
+
+
+def test_dump_ratio_is_dump_scalar_of_the_fraction():
+    for num in range(-13, 14):
+        for den in (1, 2, 3, 6, 12, 35):
+            assert dump_ratio(num, den) == dump_scalar(Fraction(num, den), EXACT), (num, den)
+    assert dump_ratio(-(10**30), 4 * 10**20) == -2500000000
+    assert dump_ratio(10**30 + 1, 10**20) == f"{10**30 + 1}/{10**20}"
 
 
 def test_dump_parse_round_trip_exact():
