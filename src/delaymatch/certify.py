@@ -29,14 +29,16 @@ two active sets that hold that pair.  By induction, after every event:
 * each marked edge's frozen value is at its budget: the merge freezes the
   value the tight event tested, with no event in between.
 
-The endgame routes each matched pair with ``marked_path`` through the merge
-tree this builds (``_Replay.router``): the marked forest is rooted once, and
-a pair's path is the two parent chains up to their meeting point.  An edge
-marked by the merge that created set C joins members of C's two children, so
-the sets it leaves are those on the two merge-tree chains from its ends'
-singletons up to C; counting them per path edge gives every set's crossings.
-Without the router, ``marked_path`` is the reference route, a search of the
-whole forest and a count against every set; ``marked_path_check`` uses it.
+Each entry of ``_Replay.marked`` is ``(u, v, C)``: the tight pair a merge
+marked and the set C that merge created.  The endgame routes each matched
+pair with ``marked_path`` through the merge tree this builds
+(``_Replay.router``): the marked forest is rooted once, and a pair's path is
+the two parent chains up to their meeting point.  An edge marked by C joins
+members of C's two children, so the sets it leaves are those on the two
+merge-tree chains from its ends' singletons up to C; counting them per path
+edge gives every set's crossings.  Without the router, ``marked_path`` is
+the reference route, a search of the whole forest and a count against every
+set; ``marked_path_check`` uses it.
 
 The first failed check wins: certification returns a ViolationReport naming
 the property, a witness, and the index of the offending event.  Clean replays
@@ -196,7 +198,6 @@ class _RSet:
         "sur",
         "y",
         "free",
-        "active",
         "growth_end",
         "parent",
     )
@@ -207,9 +208,8 @@ class _RSet:
         self.sur = sur
         self.y = zero
         self.free = free
-        self.active = True
         self.growth_end = clock
-        self.parent = None  # the set its merge created
+        self.parent = None  # the set its merge created; None while active
 
 
 class _Replay:
@@ -232,8 +232,7 @@ class _Replay:
         self.sets: list[_RSet] = []
         self.frozen = {}
         self.leaf = []  # request -> the singleton set its arrival created
-        self.marked = []
-        self.marked_by = []  # the set created by the merge that marked each edge, as ``marked``
+        self.marked = []  # (u, v, the set created by the merge that marked it), in trace order
         self.matching = []
         self.pending_tight = None
         self.index = -1
@@ -300,6 +299,9 @@ class _Replay:
             handler = self._HANDLERS.get(ev.kind) if isinstance(ev.kind, str) else None
             if handler is None:
                 self._fail("trace-shape", f"unknown event kind {ev.kind!r}", kind=ev.kind)
+            if not ev.payload.keys() <= self._FIELDS[ev.kind]:
+                extra = sorted(map(str, ev.payload.keys() - self._FIELDS[ev.kind]))
+                self._fail("trace-shape", f"{ev.kind} event has unknown fields {extra}", fields=extra)
             if ev.kind != MERGE and self.pending_tight is not None:
                 self._fail("trace-shape", "tight event not followed by its merge")
             handler(self, ev)
@@ -374,7 +376,7 @@ class _Replay:
             self._fail("trace-shape", "growth interval must end at the event time", set=sid, to=end, at=ev.t)
         if not a < b:
             self._fail("trace-shape", "empty growth interval", set=sid)
-        if not rec.active:
+        if rec.parent is not None:
             self._fail("trace-shape", f"set {sid} grew after deactivation", set=sid)
         if not rec.free:
             self._fail("trace-shape", f"set {sid} grew with no free request", set=sid)
@@ -432,7 +434,7 @@ class _Replay:
         if not (type(a) is int and type(b) is int and 0 <= a < len(self.sets) and 0 <= b < len(self.sets)):
             self._fail("trace-shape", "merge of unknown sets", a=a, b=b)
         ra, rb = self.sets[a], self.sets[b]
-        if a == b or not (ra.active and rb.active):
+        if a == b or ra.parent is not None or rb.parent is not None:
             self._fail("trace-shape", f"merge of sets {a} and {b} not currently active", a=a, b=b)
         tu, tv = self.pending_tight
         if {self.assign[tu], self.assign[tv]} != {a, b}:
@@ -450,13 +452,11 @@ class _Replay:
                 k = (x, w) if x < w else (w, x)
                 if k in cost:
                     frozen[k] = potential[x] + potential[w]
-        ra.active = rb.active = False
         ra.parent = rb.parent = sid
         self.sets.append(rec)
         for w in members:
             self.assign[w] = sid
-        self.marked.append((tu, tv, self.clock))
-        self.marked_by.append(sid)
+        self.marked.append((tu, tv, sid))
         self.pending_tight = None
 
     def _ev_match(self, ev):
@@ -484,6 +484,7 @@ class _Replay:
         self.matching.append((min(u, v), max(u, v), self.clock))
 
     _HANDLERS = {ARRIVAL: _ev_arrival, GROW: _ev_grow, TIGHT: _ev_tight, MERGE: _ev_merge, MATCH: _ev_match}
+    _FIELDS = {ARRIVAL: {"u"}, GROW: {"set", "from", "to"}, TIGHT: {"u", "v"}, MERGE: {"set", "a", "b"}, MATCH: {"u", "v"}}
 
     # -- settled-instant checks ----------------------------------------------
 
@@ -501,7 +502,7 @@ class _Replay:
     def _check_surplus(self):
         for rec in self.sets:
             # ``sur`` is ``surplus`` of the set's members, which never change.
-            if rec.active and len(rec.free) != rec.sur:
+            if rec.parent is None and len(rec.free) != rec.sur:
                 self._fail(
                     "surplus",
                     f"set {rec.set_id} has {len(rec.free)} free requests, surplus {rec.sur}",
@@ -673,7 +674,7 @@ class _Replay:
         for every path edge gives every set's crossings."""
         n = len(self.inst.requests)
         adj = [[] for _ in range(n)]
-        for (x, w, _), c in zip(self.marked, self.marked_by):
+        for x, w, c in self.marked:
             adj[x].append((w, c))
             adj[w].append((x, c))
         # up[x] is x's parent in the rooted forest, joined by an edge that the

@@ -30,8 +30,9 @@ order; the first of them to go tight merges A and B, and the others then
 never cross again.  The band is 0 in exact mode, which keeps ties, and ``2 *
 tol(c)`` for a pair of budget ``c`` in float mode, where rounding may reorder
 pairs that close.  Candidates are grouped by set when a request arrives; a
-merge of A and B into C folds {A, X} and {B, X} into {C, X}, which keeps the
-band of their union, and drops {A, B}.  The event log is the one record of
+merge of A and B into C drops {A, B} and, for each other active set X, looks
+up {A, X} and {B, X} (either may be missing) and folds them into {C, X}, which
+keeps the band of their union.  The event log is the one record of
 growth intervals, marks and matches; ``SetRecord`` keeps only each set's sum
 ``y``, and ``growing`` the ids of the sets that grow.
 """
@@ -104,7 +105,7 @@ class EventRecord:
 
 @dataclass
 class SetRecord:
-    """One ever-active set: members, surplus, accumulated dual value, links.
+    """One ever-active set: members, surplus, accumulated dual value.
 
     Mutated only by the engine that owns it; treat as read-only afterwards.
     ``free`` is current while the set is active; an inactive set keeps what
@@ -117,7 +118,6 @@ class SetRecord:
     sur: int
     y: Scalar
     free: set
-    parent: int = None  # set_id this one merged into
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,7 @@ class RunResult:
 
 
 _TIMES = ("from", "to")  # the payload fields that hold times
+_LINE = dict.fromkeys(("t", "kind", "payload")).keys()  # the fields of a trace line, ordered and set-like
 
 # A time's JSON text as json.dumps writes it, but strict: NaN or infinity raises ValueError.
 _encode = json.JSONEncoder(allow_nan=False).encode
@@ -190,7 +191,9 @@ def events_to_jsonl(result: RunResult) -> str:
 
 def events_from_jsonl(text: str, mode: str):
     """Parse a trace back into EventRecords (for post-hoc verification).
-    Each distinct time string is parsed once per trace."""
+    A line must be an object with exactly the fields ``t``, ``kind`` and
+    ``payload``, else ValueError names the line.  Each distinct time string
+    is parsed once per trace."""
     events, times = [], {}
 
     def time(raw):
@@ -208,6 +211,11 @@ def events_from_jsonl(text: str, mode: str):
             continue
         try:
             doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError(f"line must be an object, got {type(doc).__name__}")
+            if doc.keys() != _LINE:
+                missing = [k for k in _LINE if k not in doc]
+                raise ValueError(f"missing field {missing[0]!r}" if missing else f"unknown fields {sorted(doc.keys() - _LINE)}")
             raw, kind = doc["payload"], doc["kind"]
             if not isinstance(raw, dict):
                 raise ValueError(f"payload must be an object, got {type(raw).__name__}")
@@ -215,7 +223,7 @@ def events_from_jsonl(text: str, mode: str):
                 raise ValueError(f"kind must be a string, got {type(kind).__name__}")
             payload = {k: (time(v) if k in _TIMES else v) for k, v in raw.items()}
             events.append(EventRecord(t=time(doc["t"]), kind=kind, payload=payload))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
     return events
 
@@ -272,7 +280,6 @@ class GreedyDualEngine:
         # The candidates (u, v, scaled budget), u < v, of each pair of active
         # sets a < b with an eligible pair between them.
         self._buckets: dict[tuple, list] = {}
-        self._near: dict[int, set] = {}  # active set -> the sets it shares a bucket with
         self._polarity: dict[int, list] = {}  # active set -> [neutral, positive, negative] members
         self.live_pairs = _LivePairs(self._polarity)
         if self_check:
@@ -391,8 +398,7 @@ class GreedyDualEngine:
         row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
         pot, band_tol, au, partner = self.potential, self._band_tol, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
-        near = self._near
-        near[sid] = sets = set()
+        sets = []  # the sets in ``found``, as first found
         for v in range(u):
             if sgn[v] == partner:
                 c = row[pid[v]] + (au - atime[v])
@@ -401,7 +407,7 @@ class GreedyDualEngine:
                 e = found[x]
                 if e is None:
                     found[x] = [s, (v, u, c)]
-                    sets.add(x)
+                    sets.append(x)
                 elif s <= e[0]:
                     e[0] = s
                     e.append((v, u, c))
@@ -409,7 +415,6 @@ class GreedyDualEngine:
                     e.append((v, u, c))
         buckets = self._buckets
         for x in sets:
-            near[x].add(sid)
             e = found[x]
             buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol)
         self._log(self.clock, ARRIVAL, {"u": u})
@@ -450,9 +455,8 @@ class GreedyDualEngine:
         rec = SetRecord(
             set_id=sid, members=members, sur=surplus(self.inst, members), y=self._zero, free=a.free | b.free
         )
-        for child in (a, b):
-            child.parent = sid
-            self.growing.discard(child.set_id)
+        self.growing.discard(a.set_id)
+        self.growing.discard(b.set_id)
         self.sets.append(rec)
         self._fold(a.set_id, b.set_id, sid)
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
@@ -464,29 +468,20 @@ class GreedyDualEngine:
             self.assign[w] = sid
 
     def _fold(self, a: int, b: int, c: int) -> None:
-        """Give the new set ``c`` the buckets of its children ``a`` and ``b``:
-        {a, x} and {b, x} become {c, x}, the band of their union, and {a, b}
-        goes."""
-        buckets, near, polarity = self._buckets, self._near, self._polarity
+        """Give the new set ``c`` the buckets of its children ``a`` < ``b``:
+        {a, b} goes, and for each other active set x, {a, x} and {b, x}
+        (either may be missing) become {c, x}, the band of their union."""
+        buckets, polarity = self._buckets, self._polarity
         pa, pb = polarity.pop(a), polarity.pop(b)
-        polarity[c] = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
-        near_a, near_b = near.pop(a), near.pop(b)
-        if b in near_a:
-            near_a.discard(b)
-            near_b.discard(a)
-            del buckets[a, b]
-        union = {}  # x -> the candidates of {a, x} and {b, x}
-        for child, xs in ((a, near_a), (b, near_b)):
-            for x in xs:
-                near_x = near[x]
-                near_x.discard(child)
-                near_x.add(c)
-                cands = buckets.pop((x, child) if x < child else (child, x))
-                union[x] = union[x] + cands if x in union else cands
-        near[c] = near_a | near_b
+        del buckets[a, b]  # the tight pair that merges a and b is one of its candidates
         pot, band_tol = self.potential, self._band_tol
-        for x, cands in union.items():
-            buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, band_tol)
+        for x in polarity:
+            ca = buckets.pop((x, a) if x < a else (a, x), None)
+            cb = buckets.pop((x, b) if x < b else (b, x), None)
+            cands = cb if ca is None else ca if cb is None else ca + cb
+            if cands is not None:
+                buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, band_tol)
+        polarity[c] = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -607,9 +602,8 @@ class GreedyDualEngine:
         if self.growing != (replayed := {a for a in members if replay.sets[a].free}):
             raise EngineInvariantError(f"growth-flag: growing sets {sorted(self.growing)}, replayed {sorted(replayed)}")
         # There must be one bucket per pair of replayed active sets with an
-        # eligible pair of arrived requests between them, each listed among
-        # both sets' neighbours, and as many such pairs as ``live_pairs``
-        # counts.
+        # eligible pair of arrived requests between them, and as many such
+        # pairs as ``live_pairs`` counts.
         cost, sets = replay.cost, sorted(members)
         cross = {}  # (a, b) -> the eligible pairs (u, v, replayed budget) between sets a < b
         for i, a in enumerate(sets):
@@ -617,12 +611,10 @@ class GreedyDualEngine:
                 keys = ((x, y) if x < y else (y, x) for x in members[a] for y in members[b])
                 if pairs := [(*k, cost[k]) for k in keys if k in cost]:
                     cross[a, b] = pairs
-        near = {(a, x) if a < x else (x, a) for a, xs in self._near.items() for x in xs}
         not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
         if (
             buckets.keys() != cross.keys()
-            or self._near.keys() != members.keys()
-            or near != cross.keys()
+            or self._polarity.keys() != members.keys()
             or len(self.live_pairs) != sum(map(len, cross.values()))
         ):
             raise EngineInvariantError(not_cross)

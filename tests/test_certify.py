@@ -15,6 +15,7 @@ from delaymatch.certify import (
     ratio_report,
 )
 from delaymatch.engine import (
+    ARRIVAL,
     GROW,
     MATCH,
     MERGE,
@@ -375,6 +376,26 @@ def test_malformed_in_memory_event_is_a_trace_shape_violation(tight4, malformed)
     assert (verdict.prop, verdict.event_index) == ("trace-shape", i)
 
 
+def test_an_unknown_payload_field_is_a_trace_shape_violation_at_its_event(tight4):
+    """Each kind's payload has fixed fields; any other is refused at its
+    event, in memory and read back from a trace."""
+    inst, res = tight4
+    events = list(res.event_log)
+    for kind in (ARRIVAL, GROW, TIGHT, MERGE, MATCH):
+        i = next(i for i, e in enumerate(events) if e.kind == kind)
+        tampered = _tamper(events, i, junk=7)
+        verdict = certify_events(inst, tampered).to_json()
+        assert verdict == {
+            "ok": False,
+            "property": "trace-shape",
+            "detail": f"{kind} event has unknown fields ['junk']",
+            "witness": {"fields": ["junk"]},
+            "event_index": i,
+        }
+        text = events_to_jsonl(replace(res, event_log=tuple(tampered)))
+        assert certify_events(inst, events_from_jsonl(text, inst.mode)).to_json() == verdict
+
+
 def test_exact_trace_time_given_as_a_float_or_a_string_is_refused(tight4):
     inst, res = tight4
     events = list(res.event_log)
@@ -617,7 +638,7 @@ def _assert_admitted_structure(replay):
     ``assign`` names each one's set; the marked edges inside each active set
     number one less than its members and close no cycle, and none crosses
     active sets; each marked edge's frozen value is at its budget."""
-    active = [rec for rec in replay.sets if rec.active]
+    active = [rec for rec in replay.sets if rec.parent is None]
     assert sorted(u for rec in active for u in rec.members) == list(range(replay.next_arrival))
     assign = replay.assign
     assert all(assign[u] == rec.set_id for rec in active for u in rec.members)

@@ -121,6 +121,45 @@ def test_malformed_trace_line_is_an_input_error(tight4_file, tmp_path, line):
     assert "Traceback" not in check.stderr
 
 
+ARRIVAL_1 = '{"t": 0, "kind": "arrival", "payload": {"u": 1}}'  # the second line of a tightness trace
+
+
+def _trace_with_line_2(tight4_file, trace, line):
+    assert run_cli("run", str(tight4_file), "--trace", str(trace)).returncode == 0
+    lines = trace.read_text().splitlines()
+    assert lines[1] == ARRIVAL_1
+    trace.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        (ARRIVAL_1.replace('"t": 0, ', ""), "missing field 't'"),
+        (ARRIVAL_1[:-1] + ', "extra": 1}', "unknown fields ['extra']"),
+    ],
+    ids=["no-t", "extra-field"],
+)
+def test_a_trace_line_of_another_shape_is_an_input_error(tight4_file, tmp_path, line, error):
+    trace = tmp_path / "t.trace"
+    _trace_with_line_2(tight4_file, trace, line)
+    proc = run_cli("certify", str(tight4_file), str(trace))
+    _assert_input_error(proc)
+    assert proc.stderr == f"delaymatch: error: trace line 2: {error}\n"
+
+
+def test_an_unknown_payload_field_fails_certification(tight4_file, tmp_path):
+    trace = tmp_path / "t.trace"
+    _trace_with_line_2(tight4_file, trace, ARRIVAL_1.replace('{"u": 1}', '{"u": 1, "junk": 7}'))
+    proc = run_cli("certify", str(tight4_file), str(trace))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["property"], doc["detail"], doc["event_index"]) == (
+        "trace-shape",
+        "arrival event has unknown fields ['junk']",
+        1,
+    )
+
+
 def test_expect_must_be_a_json_object(tight4_file, tmp_path):
     trace, summary = tmp_path / "t.trace", tmp_path / "expect.json"
     run_cli("run", str(tight4_file), "--trace", str(trace))

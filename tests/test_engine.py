@@ -83,7 +83,8 @@ def test_odd_subset_keeps_growing_until_partner_arrives():
     )
     res = run(inst, self_check=True)
     assert [(u, v) for u, v, _ in res.matching] == [(0, 2), (1, 3)]
-    assert all(not s.free for s in res.all_sets if s.parent is None)
+    children = {ev.payload[k] for ev in res.event_log if ev.kind == MERGE for k in ("a", "b")}
+    assert all(not s.free for s in res.all_sets if s.set_id not in children)
 
 
 def test_event_log_shape():
@@ -201,6 +202,25 @@ def test_events_jsonl_rejects_garbage():
         events_from_jsonl('{"kind": "arrival"}\n', "exact")
     with pytest.raises(ValueError):
         events_from_jsonl("not json\n", "exact")
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ('{"kind": "arrival", "payload": {"u": 1}}', "missing field 't'"),
+        ('{"t": 0, "payload": {"u": 1}}', "missing field 'kind'"),
+        ('{"t": 0, "kind": "arrival"}', "missing field 'payload'"),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 1}, "extra": 1}', "unknown fields ['extra']"),
+        ('[0, "arrival", {"u": 1}]', "line must be an object, got list"),
+    ],
+    ids=["no-t", "no-kind", "no-payload", "extra-field", "list"],
+)
+def test_a_trace_line_of_another_shape_is_named(line, error):
+    """A line is an object with exactly ``t``, ``kind`` and ``payload``."""
+    text = '{"t": 0, "kind": "arrival", "payload": {"u": 0}}\n' + line + "\n"
+    with pytest.raises(ValueError) as info:
+        events_from_jsonl(text, "exact")
+    assert str(info.value) == f"trace line 2: {error}"
 
 
 @pytest.mark.parametrize("bad", [nan, inf, -inf])

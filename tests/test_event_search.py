@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from delaymatch.certify import certify
 from delaymatch.engine import _TWO_OVER, EngineInvariantError, GreedyDualEngine, events_to_jsonl, run
-from delaymatch.generators import gen_random_instance
+from delaymatch.generators import gen_random_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.metric import EuclideanMetric
 from delaymatch.scalars import EPS_TIGHT, FLOAT, tol
@@ -65,6 +65,26 @@ class TiesOnly(GreedyDualEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._band_tol = None
+
+
+class FoldCounter(GreedyDualEngine):
+    """Counts the folds that meet another active set with no bucket for one
+    of the children, and the folds whose children share no bucket."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.folds = self.misses = self.unjoined = 0
+
+    def _fold(self, a, b, c):
+        keys = self._buckets.keys()
+        self.folds += 1
+        self.unjoined += (a, b) not in keys
+        self.misses += any(
+            (min(a, x), max(a, x)) not in keys or (min(b, x), max(b, x)) not in keys
+            for x in self._polarity
+            if x not in (a, b)
+        )
+        super()._fold(a, b, c)
 
 
 def outcome(engine, inst):
@@ -179,3 +199,24 @@ def test_tight_time_follows_the_band_rule():
     assert (9.999999999999, {"u": 1, "v": 2}) in [
         (ev.t, ev.payload) for ev in TiesOnly(inst).run().event_log if ev.kind == "tight"
     ]
+
+
+def test_folds_look_up_the_buckets_a_merge_may_miss():
+    """In the bipartite variant two sets whose members share one polarity
+    share no bucket, so a fold meets active sets with no bucket for one of
+    the children.  The merging children always share one: the tight pair is
+    among its candidates.  Under the self-check, which compares the buckets
+    with the replay after every step, the runs log the unchecked runs'
+    events."""
+    insts = [gen_tightness_instance(20, variant=MBPMD)]
+    for seed in range(3):
+        for kind in ("line", "ring", "matrix"):
+            for m in (20, 30):
+                insts.append(gen_random_instance(seed=seed, m=m, metric_kind=kind, variant=MBPMD))
+    folds = misses = 0
+    for inst in insts:
+        eng = FoldCounter(inst, self_check=True)
+        assert eng.run().event_log == GreedyDualEngine(inst).run().event_log
+        assert eng.unjoined == 0
+        folds, misses = folds + eng.folds, misses + eng.misses
+    assert 0 < misses < folds
