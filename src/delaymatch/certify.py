@@ -48,12 +48,17 @@ return a DualCertificate with the re-derived totals and per-pair slacks.
 engine's self-check its growing log after every step.  An instant settles
 when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
-checked once.  Pair budgets come from ``Instance.budgets``, not the engine.
+checked once.  Pair budgets come from ``Instance.budgets``, not the engine;
+the endgame sums ``metric.distance`` over the matched pairs, apart from the
+grid both tables are built on, and the cross-check compares the run's
+totals with that sum.
 
 In exact mode the replay computes on Python ints over a scale ``S``: an int
 ``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
 pair values, pair costs and each set's ``y`` and growth end are scaled.  ``S``
-starts as the scale of ``Instance.budgets``, whose times and costs it reads.
+starts as the scale of ``Instance.budgets``, whose times and costs it reads:
+the lcm of the denominators of the arrival times and of the metric's inputs
+(positions, a ring's circumference, matrix entries), see ``Instance.grid``.
 Trace times are read as they are; a time not of the mode (``is_scalar``) or
 an index that is not an int breaks the trace shape.  When an event time or
 a growth endpoint with denominator ``den`` falls off the grid, ``S`` grows by

@@ -28,7 +28,7 @@ from pathlib import Path
 from .certify import certify, certify_events, ratio_report
 from .engine import EngineInvariantError, GreedyDualEngine, events_from_jsonl, events_to_jsonl
 from .generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
-from .instance import MBPMD, MPMD, instance_json, parse_instance
+from .instance import MBPMD, MPMD, decode_json, instance_json, parse_instance
 from .offline import BRUTE_LIMIT, opt_brute, opt_hungarian
 from .scalars import MODES, ScalarError, dump_scalar, parse_scalar
 
@@ -76,7 +76,7 @@ def _env_mode():
 
 
 def _load_instance(path: str, mode_flag):
-    doc = json.loads(_read_text(path))
+    doc = decode_json(_read_text(path))
     if not isinstance(doc, dict):
         raise CliError(f"{path}: instance document must be a JSON object")
     if mode_flag is not None:
@@ -193,7 +193,7 @@ def _cmd_certify(args) -> int:
         return 2
     doc = cert.to_json()
     if args.expect:
-        expected = json.loads(_read_text(args.expect))
+        expected = decode_json(_read_text(args.expect))
         if not isinstance(expected, dict):
             raise CliError(f"--expect: summary must be a JSON object, got {type(expected).__name__}")
         mismatch = {

@@ -7,13 +7,16 @@ the pair's budget (distance plus arrival gap), the two sets merge, the
 triggering edge is marked, and free requests inside the merged set are
 matched greedily.
 
-Exact mode keeps the clock, the request potentials and the pair budgets as
-Python ints over one shared scale ``S``: an int ``x`` stands for ``x / S``.
-``S`` starts as the lcm of the denominators of the arrival times and of the
-distances, read as the instance holds them (ints and Fractions), and grows by
-a factor ``k`` (every stored int with it) when a time off the grid appears: a
-tight time half a step off, or an off-grid ``advance_to``.  Fractions are
-built only where values leave the engine: event times, ``SetRecord`` fields,
+Exact mode keeps the clock, the request potentials, the pair budgets and
+each set's ``y`` as Python ints over one shared scale ``S``: an int ``x``
+stands for ``x / S``.  ``S`` starts as the scale of ``Instance.grid``, the
+lcm of the denominators of the arrival times and of the metric's inputs
+(positions, a ring's circumference, matrix entries), so the distance table
+is computed on ints from the first distance.  It grows by a factor ``k``
+(every stored int with it) when a time off the grid appears: a tight time
+half a step off, or an off-grid ``advance_to``.  The run's totals are summed
+on the grid too.  Fractions are built only where values leave the engine:
+event times, the ``y`` of each ``SetRecord`` once the run ends,
 ``RunResult``, and the times taken and returned by ``next_event`` and
 ``advance_to``.  Every comparison is exact.  Float
 mode runs the same code on binary64 values; a pair with budget ``c`` goes
@@ -42,9 +45,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .instance import Instance, require_finite_budgets, surplus
+from .instance import Instance, decode_json, surplus
 from .scalars import EXACT, Scalar, dump_scalar, eq, parse_scalar, tol
 
 ARRIVAL = "arrival"
@@ -110,7 +113,8 @@ class SetRecord:
     Mutated only by the engine that owns it; treat as read-only afterwards.
     ``free`` is current while the set is active; an inactive set keeps what
     it held at its merge, though the merged set may have matched those
-    requests since.
+    requests since.  In exact mode ``y`` is a scaled int while the run lasts
+    and its value, a Fraction, in the finished run's ``all_sets``.
     """
 
     set_id: int
@@ -192,8 +196,8 @@ def events_to_jsonl(result: RunResult) -> str:
 def events_from_jsonl(text: str, mode: str):
     """Parse a trace back into EventRecords (for post-hoc verification).
     A line must be an object with exactly the fields ``t``, ``kind`` and
-    ``payload``, else ValueError names the line.  Each distinct time string
-    is parsed once per trace."""
+    ``payload``, and no object in it may repeat a key, else ValueError names
+    the line.  Each distinct time string is parsed once per trace."""
     events, times = [], {}
 
     def time(raw):
@@ -210,7 +214,7 @@ def events_from_jsonl(text: str, mode: str):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            doc = decode_json(line)
             if not isinstance(doc, dict):
                 raise ValueError(f"line must be an object, got {type(doc).__name__}")
             if doc.keys() != _LINE:
@@ -248,30 +252,12 @@ class GreedyDualEngine:
         self._exact = self.mode == EXACT
         self._band_tol = None if self._exact else tol  # see ``_band``
         # Distances over distinct positions only: requests often share them.
-        ids = {}
-        self._pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
-        points = list(ids)
-        dist = [[None] * len(points) for _ in points]
-        for i, p in enumerate(points):
-            for j in range(i, len(points)):
-                dist[i][j] = dist[j][i] = inst.metric.distance(p, points[j])
-        atimes = [r.atime for r in reqs]
-        require_finite_budgets(self.mode, dist, atimes)
-        if self._exact:
-            self._zero = Fraction(0)
-            self._scale = scale = lcm(*(t.denominator for t in atimes), *(d.denominator for row in dist for d in row))
-            self._dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
-            self._atime = [t.numerator * (scale // t.denominator) for t in atimes]
-            self._clock = 0  # self.clock in units of 1 / scale
-            self.potential = [0] * n  # accumulated dual value over sets containing u, scaled
-        else:
-            self._zero = 0.0
-            self._dist = dist
-            self._atime = atimes
-            self._clock = 0.0
-            self.potential = [0.0] * n
+        self._scale, self._pid, self._dist, self._atime = inst.grid()  # scale None in float mode
+        self._zero = 0 if self._exact else 0.0  # scaled
+        self._clock = self._zero  # self.clock in units of 1 / scale
+        self.potential = [self._zero] * n  # accumulated dual value over sets containing u, scaled
         self._sgn = [r.sgn for r in reqs]
-        self.clock = self._zero
+        self.clock = self._external(self._zero)
         self.next_arrival = 0
         self.assign = [None] * n  # request index -> active set_id
         self.sets: list[SetRecord] = []
@@ -311,6 +297,8 @@ class GreedyDualEngine:
         self.potential = [p * k for p in self.potential]
         self._atime = [t * k for t in self._atime]
         self._dist = [[d * k for d in row] for row in self._dist]
+        for rec in self.sets:
+            rec.y *= k
         self._buckets = {key: [(u, v, c * k) for u, v, c in cands] for key, cands in self._buckets.items()}
 
     # -- event location ---------------------------------------------------
@@ -367,13 +355,13 @@ class GreedyDualEngine:
             raise EngineInvariantError(f"clock would move backwards: {self.clock} -> {t}")
         if t_in == self._clock:
             return
-        delta, delta_in = t - self.clock, t_in - self._clock
+        delta = t_in - self._clock
         pot = self.potential
         for sid in sorted(self.growing):
             rec = self.sets[sid]
             rec.y += delta
             for u in rec.members:
-                pot[u] += delta_in
+                pot[u] += delta
             self._log(t, GROW, {"set": sid, "from": self.clock, "to": t})
         self.clock, self._clock = t, t_in
 
@@ -552,15 +540,18 @@ class GreedyDualEngine:
         marked = tuple((ev.payload["u"], ev.payload["v"], ev.t) for ev in self.events if ev.kind == TIGHT)
         if 2 * len(matching) != len(inst.requests):
             raise EngineInvariantError("run ended with unmatched requests")
-        zero = self._zero
-        connection = zero
-        waiting = zero
+        # Sums on the grid: scaled ints in exact mode, where each match time
+        # is on the grid, as every event time is.
+        dist, pid, atime, internal = self._dist, self._pid, self._atime, self._internal
+        connection = waiting = dual = self._zero
         for u, v, t in matching:
-            connection += inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
-            waiting += (t - inst.requests[u].atime) + (t - inst.requests[v].atime)
-        dual = zero
+            t = internal(t)
+            connection += dist[pid[u]][pid[v]]
+            waiting += (t - atime[u]) + (t - atime[v])
         for rec in self.sets:
             dual += rec.sur * rec.y
+            rec.y = self._external(rec.y)
+        connection, waiting, total, dual = map(self._external, (connection, waiting, connection + waiting, dual))
         result = RunResult(
             variant=inst.variant,
             mode=self.mode,
@@ -571,7 +562,7 @@ class GreedyDualEngine:
             marked_edges=marked,
             connection_cost=connection,
             waiting_cost=waiting,
-            total_cost=connection + waiting,
+            total_cost=total,
             dual_objective=dual,
         )
         if self.self_check:

@@ -6,9 +6,12 @@ balanced +1/-1 polarities; the plain variant ("mpmd") has polarity 0
 everywhere.  Every scalar is of the mode (``scalars.is_scalar``: exact mode
 holds no float, float mode no NaN, infinity or int beyond binary64 range),
 checked once at construction, positions through ``Metric.check_point``.
-Instances are immutable after construction.  ``budgets``, the instance on
-one integer grid (``Budgets``), is built on first use and shared by the
-certifier and the offline solvers; the engine keeps its own.
+Instances are immutable after construction.  ``grid`` puts the instance on
+one integer grid in exact mode: the distinct positions' distance table and
+the arrival times, computed on ints from the first distance.  ``budgets``,
+the pair budgets on that grid (``Budgets``), is built on first use and
+shared by the certifier and the offline solvers; the engine builds its own
+table from its own call to ``grid``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .metric import (
@@ -37,6 +40,24 @@ VARIANTS = (MPMD, MBPMD)
 
 class InstanceError(ValueError):
     """The document or constructor arguments do not form a valid instance."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """An object's ``(key, value)`` pairs as a dict; ValueError names a key
+    given twice, which ``json.loads`` would let the last value win."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+# ``json.loads`` of a str, but an object that repeats a key raises ValueError.
+# Instance documents, trace lines and summaries are read through it.
+decode_json = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 @dataclass(frozen=True)
@@ -69,25 +90,39 @@ class Instance:
             return False
         return self.requests[u].sgn == -self.requests[v].sgn
 
+    def grid(self) -> tuple:
+        """``(scale, pid, dist, atime)``: the instance on one grid.  ``pid[u]``
+        indexes request u's position among the distinct positions, first seen
+        first; ``dist`` is ``Metric.grid`` over those positions, and ``atime``
+        the arrival times.  In exact mode every value is an int times
+        ``scale``: the metric's grid scale times the least ``k`` that puts the
+        arrival times on the grid too.  In float mode ``scale`` is None and
+        the values are the metric's and the instance's.  Float budgets that
+        may overflow are refused (``require_finite_budgets``).  Each call
+        builds new lists."""
+        reqs = self.requests
+        ids = {}
+        pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
+        scale, dist = self.metric.grid(list(ids), self.mode)
+        atime = [r.atime for r in reqs]
+        require_finite_budgets(self.mode, dist, atime)
+        if scale is not None:
+            den = lcm(*{t.denominator for t in atime})
+            k = den // gcd(scale, den)
+            if k != 1:
+                scale *= k
+                dist = [[d * k for d in row] for row in dist]
+            atime = [t.numerator * (scale // t.denominator) for t in atime]
+        return scale, pid, dist, atime
+
     @cached_property
     def budgets(self) -> Budgets:
         """The instance on its grid; built once per instance, never mutated."""
-        reqs, distance = self.requests, self.metric.distance
-        ids = {}
-        pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
-        points = list(ids)
-        # dist[i][j] for j <= i: one distance per pair of distinct positions.
-        dist = [[distance(p, q) for q in points[: i + 1]] for i, p in enumerate(points)]
-        atime, scale = [r.atime for r in reqs], None
-        require_finite_budgets(self.mode, dist, atime)
-        if self.mode == EXACT:
-            scale = lcm(*{t.denominator for t in atime}, *{d.denominator for row in dist for d in row})
-            dist = [[d.numerator * (scale // d.denominator) for d in row] for row in dist]
-            atime = [t.numerator * (scale // t.denominator) for t in atime]
-        sgn = [r.sgn for r in reqs]
+        scale, pid, dist, atime = self.grid()
+        sgn = [r.sgn for r in self.requests]
         cost = {
-            (u, v): (dist[pu][pv] if pu >= pv else dist[pv][pu]) + abs(atime[u] - atime[v])
-            for u, pu in enumerate(pid)
+            (u, v): row[pv] + abs(atime[u] - atime[v])
+            for u, row in enumerate(dist[p] for p in pid)
             for v, pv in enumerate(pid[u + 1 :], u + 1)
             if sgn[u] == -sgn[v]
         }
@@ -97,8 +132,10 @@ class Instance:
 @dataclass(frozen=True)
 class Budgets:
     """The arrival times and, for each eligible pair u < v in lexicographic
-    order, its ``edge_cost``: in exact mode as ints times ``scale``, the lcm of
-    the arrival-time and distance denominators; in float mode as they are."""
+    order, its ``edge_cost``: in exact mode as ints times the scale of
+    ``Instance.grid``, the lcm of the denominators of the arrival times and
+    of the metric's inputs (positions, a ring's ``h``, the matrix entries
+    between the positions); in float mode as they are."""
 
     scale: Optional[int]  # None in float mode
     atime: tuple
@@ -245,8 +282,8 @@ def parse_instance(doc, default: str = None) -> Instance:
     """
     if isinstance(doc, (str, bytes)):
         try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+            doc = decode_json(doc if isinstance(doc, str) else doc.decode())
+        except ValueError as exc:  # bad JSON, a repeated key or bytes that are not UTF-8
             raise InstanceError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError(f"instance document must be an object, got {type(doc).__name__}")

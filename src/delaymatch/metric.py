@@ -5,7 +5,10 @@ and a ring of fixed circumference.  Matrix/line/ring support exact rational
 arithmetic; the plane produces irrational distances and is float-only.
 ``check_point`` asks ``scalars.is_scalar`` whether a position or coordinate
 is a scalar of the instance's mode; no kind keeps a type rule of its own.
-Metric objects are immutable after construction.
+``grid`` tabulates the distances over a list of distinct points; in exact
+mode line, ring and matrix put their inputs on one integer grid first, so
+no Fraction arithmetic builds the table.  Metric objects are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -33,12 +36,30 @@ class MetricViolation:
 
 
 class Metric:
-    """Common surface: ``distance``, ``check_point``, ``validate``."""
+    """Common surface: ``distance``, ``grid``, ``check_point``, ``validate``."""
 
     kind: str
 
     def distance(self, a, b) -> Scalar:
         raise NotImplementedError
+
+    def grid(self, points, mode: str) -> tuple:
+        """``(scale, rows)``: the square table of distances over the distinct
+        ``points``.  In float mode ``scale`` is None and ``rows[i][j]`` is
+        ``distance(points[i], points[j])``, called once per unordered pair
+        ``i <= j``.  In exact mode ``rows[i][j]`` is an int that stands for
+        the distance times the int ``scale``; the kinds compute it on their
+        scaled inputs (``_exact_grid``), with no Fraction arithmetic."""
+        if mode == EXACT:
+            return self._exact_grid(points)
+        rows = [[None] * len(points) for _ in points]
+        for i, p in enumerate(points):
+            for j in range(i, len(points)):
+                rows[i][j] = rows[j][i] = self.distance(p, points[j])
+        return None, rows
+
+    def _exact_grid(self, points) -> tuple:
+        raise InvalidPointError(f"{self.kind} metric has no exact distances")
 
     def check_point(self, p, mode: str) -> None:
         """Raise InvalidPointError unless ``p`` is a point of this metric in ``mode``."""
@@ -67,6 +88,11 @@ class LineMetric(Metric):
 
     def distance(self, a, b):
         return abs(a - b)
+
+    def _exact_grid(self, points):
+        # The scale is the lcm of the positions' denominators.
+        scale, xs = _on_grid(points)
+        return scale, [[abs(a - b) for b in xs] for a in xs]
 
     def check_point(self, p, mode):
         if not is_scalar(p, mode):
@@ -102,6 +128,11 @@ class RingMetric(Metric):
     def distance(self, a, b):
         d = abs(a - b)
         return min(d, self.h - d)
+
+    def _exact_grid(self, points):
+        # The scale is the lcm of the denominators of h and the positions.
+        scale, (h, *xs) = _on_grid([self.h, *points])
+        return scale, [[min(d, h - d) for d in (abs(a - b) for b in xs)] for a in xs]
 
     def check_point(self, p, mode):
         if not is_scalar(p, mode):
@@ -155,6 +186,12 @@ class MatrixMetric(Metric):
     def distance(self, a, b):
         return self.dist[a][b]
 
+    def _exact_grid(self, points):
+        # The scale is the lcm of the denominators of the entries the points index.
+        n = len(points)
+        scale, xs = _on_grid([self.dist[p][q] for p in points for q in points])
+        return scale, [xs[i * n : (i + 1) * n] for i in range(n)]
+
     def check_point(self, p, mode):
         if isinstance(p, bool) or not isinstance(p, int):
             raise InvalidPointError(f"matrix point must be an index, got {p!r}")
@@ -191,6 +228,13 @@ class MatrixMetric(Metric):
 
     def payload(self, mode):
         return {"dist": [[dump_scalar(x, mode) for x in row] for row in self.dist]}
+
+
+def _on_grid(values) -> tuple:
+    """``(scale, ints)``: the lcm of the denominators of the exact scalars
+    ``values``, and each value times it."""
+    scale = math.lcm(*{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def validate_metric(metric: Metric) -> Optional[MetricViolation]:

@@ -6,7 +6,9 @@ exhaustive search over perfect matchings (any variant, up to 12 requests) and
 an assignment solver for the bipartite variant (any size, exact arithmetic).
 
 Both solvers read the pair costs of ``Instance.budgets``: in exact mode ints,
-every budget times the table's scale ``S``, with the optimum returned as
+every budget times the table's scale ``S`` (the lcm of the denominators of
+the arrival times and of the metric's inputs, ``Instance.grid``), built on
+ints from the first distance, with the optimum returned as
 ``Fraction(total, S)``, an empty sum included.  Scaling by a positive constant
 keeps every comparison, so ties break, and pairs come out, as over the
 rationals.  Float mode solves on the budgets as they are.

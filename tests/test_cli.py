@@ -136,8 +136,10 @@ def _trace_with_line_2(tight4_file, trace, line):
     [
         (ARRIVAL_1.replace('"t": 0, ', ""), "missing field 't'"),
         (ARRIVAL_1[:-1] + ', "extra": 1}', "unknown fields ['extra']"),
+        (ARRIVAL_1.replace('"t": 0, ', '"t": 5, "t": 0, '), "repeated key 't'"),
+        (ARRIVAL_1.replace('{"u": 1}', '{"u": 3, "u": 1}'), "repeated key 'u'"),
     ],
-    ids=["no-t", "extra-field"],
+    ids=["no-t", "extra-field", "two-t", "two-u"],
 )
 def test_a_trace_line_of_another_shape_is_an_input_error(tight4_file, tmp_path, line, error):
     trace = tmp_path / "t.trace"
@@ -145,6 +147,18 @@ def test_a_trace_line_of_another_shape_is_an_input_error(tight4_file, tmp_path, 
     proc = run_cli("certify", str(tight4_file), str(trace))
     _assert_input_error(proc)
     assert proc.stderr == f"delaymatch: error: trace line 2: {error}\n"
+
+
+def test_an_instance_with_a_repeated_key_is_an_input_error(tight4_file, tmp_path):
+    text = tight4_file.read_text()
+    doc = json.loads(text)
+    twice = tmp_path / "twice.json"
+    twice.write_text(text.replace('"requests": [', '"requests": [], "requests": [', 1))
+    assert json.loads(twice.read_text()) == doc  # json.loads would keep the last
+    for argv in (("run", str(twice)), ("opt", str(twice)), ("certify", str(twice), str(tmp_path / "unread.trace"))):
+        proc = run_cli(*argv)
+        _assert_input_error(proc)
+        assert proc.stderr == "delaymatch: error: repeated key 'requests'\n"
 
 
 def test_an_unknown_payload_field_fails_certification(tight4_file, tmp_path):

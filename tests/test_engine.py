@@ -212,8 +212,10 @@ def test_events_jsonl_rejects_garbage():
         ('{"t": 0, "kind": "arrival"}', "missing field 'payload'"),
         ('{"t": 0, "kind": "arrival", "payload": {"u": 1}, "extra": 1}', "unknown fields ['extra']"),
         ('[0, "arrival", {"u": 1}]', "line must be an object, got list"),
+        ('{"t": 5, "t": 0, "kind": "arrival", "payload": {"u": 1}}', "repeated key 't'"),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 3, "u": 1}}', "repeated key 'u'"),
     ],
-    ids=["no-t", "no-kind", "no-payload", "extra-field", "list"],
+    ids=["no-t", "no-kind", "no-payload", "extra-field", "list", "two-t", "two-u"],
 )
 def test_a_trace_line_of_another_shape_is_named(line, error):
     """A line is an object with exactly ``t``, ``kind`` and ``payload``."""
@@ -376,3 +378,26 @@ def test_overflowing_total_cost_is_refused_before_the_first_event():
     # At half the range the total is 1.5e308 and the run ends.
     half = make_instance(MPMD, LINE, [(0, 0, 0), (0.75e308, 0, 0)], mode=FLOAT)
     assert run(half, self_check=True).total_cost == 1.5e308
+
+
+@pytest.mark.parametrize("kind", ["line", "ring", "matrix"])
+def test_an_exact_run_is_on_the_grid_and_only_the_certifier_calls_distance(kind, monkeypatch):
+    """The engine and the budget table compute on the grid, with no call of
+    ``distance``; each set's ``y`` is a scaled int until the run ends.  The
+    certifier's endgame still sums ``distance`` over the matched pairs, the
+    reference its cross-check compares the engine's totals with."""
+    inst = gen_random_instance(seed=1, m=12, metric_kind=kind, variant=MBPMD)
+    calls = []
+    distance = type(inst.metric).distance
+    monkeypatch.setattr(type(inst.metric), "distance", lambda self, a, b: (calls.append((a, b)), distance(self, a, b))[1])
+    eng = GreedyDualEngine(inst)
+    while eng.step():
+        pass
+    assert all(type(rec.y) is int for rec in eng.sets)
+    res = eng.run()
+    assert all(type(rec.y) is Fraction for rec in res.all_sets)
+    assert inst.budgets.cost
+    assert calls == []
+    assert certify(inst, res).ok
+    reqs = inst.requests
+    assert calls[: inst.m] == [(reqs[u].pos, reqs[v].pos) for u, v, _ in res.matching]

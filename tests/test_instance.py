@@ -206,6 +206,21 @@ def test_parse_rejects_unknown_fields():
 
 
 @pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"variant": "mpmd", "metric": {"kind": "line"}, "requests": [], "requests": []}', "requests"),
+        ('{"variant": "mpmd", "metric": {"kind": "ring", "h": 2, "h": 1}, "requests": []}', "h"),
+        ('{"variant": "mpmd", "metric": {"kind": "line"}, "requests": [{"pos": 0, "pos": 1, "atime": 0}]}', "pos"),
+    ],
+    ids=["requests", "metric-field", "request-field"],
+)
+def test_a_repeated_key_is_refused(text, key):
+    for doc in (text, text.encode()):
+        with pytest.raises(InstanceError, match=rf"^not valid JSON: repeated key '{key}'$"):
+            parse_instance(doc)
+
+
+@pytest.mark.parametrize(
     "metric, unknown",
     [
         ({"kind": "ring", "h": 1, "H": 3}, "ring metric: unknown fields ['H']"),
@@ -299,8 +314,9 @@ def test_budgets_table_is_edge_cost_over_eligible_pairs(inst):
     assert inst.budgets is table  # built once per instance
 
 
-def test_budgets_scale_is_the_lcm_of_arrival_and_distance_denominators():
-    # Distances with denominators 12, 3, 15, 4, 20 and 5; arrival times with 2.
+def test_budgets_scale_is_the_lcm_of_arrival_and_metric_input_denominators():
+    # Positions with denominators 3, 4, 1 and 5; arrival times with 2.  (The
+    # distances' denominators, 12, 3, 15, 4, 20 and 5, have the same lcm.)
     inst = line_instance(
         [(Fraction(1, 3), 0, 0), (Fraction(3, 4), Fraction(1, 2), 0), (0, 1, 0), (Fraction(1, 5), 1, 0)]
     )
@@ -308,3 +324,23 @@ def test_budgets_scale_is_the_lcm_of_arrival_and_distance_denominators():
     assert table.scale == 60
     assert table.atime == (0, 30, 60, 60)
     assert all(Fraction(c, 60) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
+
+
+@pytest.mark.parametrize(
+    "metric, positions, scale",
+    [
+        # The positions sit on thirds and the distances on integers.
+        ({"kind": "line"}, [Fraction(1, 3), Fraction(4, 3), Fraction(7, 3), Fraction(10, 3)], 6),
+        # h on sevenths, the positions on integers.
+        ({"kind": "ring", "h": "22/7"}, [0, 1, 2, 3], 14),
+        # Only the entries between the positions count: 1/5 is not one of them.
+        ({"kind": "matrix", "dist": [[0, "1/3", "1/5"], ["1/3", 0, "1/3"], ["1/5", "1/3", 0]]}, [0, 1, 1, 0], 6),
+    ],
+    ids=["line", "ring", "matrix"],
+)
+def test_budgets_scale_takes_the_metric_inputs_and_the_arrival_times(metric, positions, scale):
+    atimes = [0, Fraction(1, 2), 1, Fraction(3, 2)]
+    inst = make_instance(MPMD, metric, [(p, t, 0) for p, t in zip(positions, atimes)])
+    table = inst.budgets
+    assert table.scale == scale
+    assert all(Fraction(c, scale) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())

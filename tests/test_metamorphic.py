@@ -6,14 +6,17 @@ by c (waiting is a difference of times, so d cancels).  So do every pair's
 budget and charged value, hence the certificate's slacks, and the offline
 optimum.  In exact mode all of this holds exactly; in float mode the matching
 holds, the run certifies and the costs scale within 1e-6 relative, over a
-ladder of scales and shifts."""
+ladder of scales and shifts.  Moving every line position, or rotating every
+ring position, by 1/7 changes no distance, so it changes no output byte,
+though the exact grid's scale, taken from the positions, grows by 7."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from delaymatch.certify import certify
-from delaymatch.engine import run
+from delaymatch.engine import events_to_jsonl, run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.metric import EuclideanMetric, LineMetric, MatrixMetric, RingMetric
@@ -119,3 +122,23 @@ def test_float_mode_holds_at_every_scale_and_shift(c, d):
         assert certify(moved_inst, moved).ok, seed
         assert moved.total_cost == pytest.approx(c * base.total_cost, rel=1e-6), seed
         assert moved.dual_objective == pytest.approx(c * base.dual_objective, rel=1e-6), seed
+
+
+def shift_positions(inst, d):
+    """Every line position moved by ``d``, every ring position rotated by it."""
+    metric = inst.metric
+    move = (lambda p: p + d) if metric.kind == "line" else (lambda p: metric.normalize(p + d))
+    return make_instance(inst.variant, metric, [(move(r.pos), r.atime, r.sgn) for r in inst.requests], mode=inst.mode)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [inst for inst in CORPUS if inst.metric.kind in ("line", "ring")],
+    ids=lambda inst: f"{inst.metric.kind}-{inst.variant}-m{inst.m}",
+)
+def test_moving_every_position_by_a_seventh_changes_no_byte(inst):
+    moved = shift_positions(inst, Fraction(1, 7))
+    assert moved.grid()[0] == 7 * inst.grid()[0]  # a grid the outputs must not show
+    base, res = run(inst), run(moved)
+    assert events_to_jsonl(res) == events_to_jsonl(base)
+    assert json.dumps(certify(moved, res).to_json()) == json.dumps(certify(inst, base).to_json())

@@ -105,3 +105,63 @@ def test_point_parsing_per_kind():
         mat.check_point(2, EXACT)  # decoding is typed; range lives in check_point
     with pytest.raises(InvalidPointError):
         mat.parse_point(True, EXACT)
+
+
+H = Fraction(7, 3)
+GRID_CASES = {
+    # Negative, int and Fraction line positions.
+    "line": (LineMetric(), [Fraction(-7, 3), 0, 5, Fraction(1, 2), Fraction(-1, 6), -4], EXACT),
+    "line-ints": (LineMetric(), [0, 5, -3], EXACT),
+    # Arcs that take the wrap: 2 - 0 and 9/4 - 1/5 exceed h / 2.
+    "ring": (RingMetric(H), [Fraction(0), Fraction(1, 5), Fraction(2), Fraction(7, 6), Fraction(9, 4)], EXACT),
+    "ring-ints": (RingMetric(Fraction(5)), [0, 4, 1], EXACT),
+    "matrix": (
+        MatrixMetric(
+            ((0, Fraction(1, 2), Fraction(4, 3)), (Fraction(1, 2), 0, Fraction(5, 6)), (Fraction(4, 3), Fraction(5, 6), 0))
+        ),
+        [2, 0, 1],
+        EXACT,
+    ),
+    "line-one": (LineMetric(), [Fraction(3, 4)], EXACT),
+    "ring-one": (RingMetric(H), [Fraction(1, 3)], EXACT),
+    "matrix-one": (MatrixMetric(((0, Fraction(1, 2)), (Fraction(1, 2), 0))), [1], EXACT),
+    "line-float": (LineMetric(), [-2.5, 0.1, 3, 1e-12, -7], FLOAT),
+    "ring-float": (RingMetric(7 / 3), [0.0, 0.2, 2.0, 7 / 6, 2.25], FLOAT),
+    "matrix-float": (MatrixMetric(((0.0, 0.5, 1.25), (0.5, 0.0, 0.75), (1.25, 0.75, 0.0))), [2, 0, 1], FLOAT),
+    "euclidean": (EuclideanMetric(), [(0.0, 0.0), (3.0, 4.0), (-1.5, 0.1), (1e-9, 2.0)], FLOAT),
+    "euclidean-one": (EuclideanMetric(), [(1.0, 2.0)], FLOAT),
+    "line-float-one": (LineMetric(), [0.25], FLOAT),
+    # An instance with no requests has no points.
+    **{f"{m.kind}-none": (m, [], EXACT) for m in (LineMetric(), RingMetric(H), MatrixMetric(((0,),)))},
+}
+
+
+@pytest.mark.parametrize("metric, points, mode", GRID_CASES.values(), ids=GRID_CASES)
+def test_grid_is_the_distance_of_every_pair(metric, points, mode, monkeypatch):
+    """Exact mode: each entry over the scale is the distance, and ``distance``
+    is not called.  Float mode: each entry is the distance, bit for bit, from
+    one call per unordered pair."""
+    calls = []
+    distance = type(metric).distance
+    monkeypatch.setattr(type(metric), "distance", lambda self, a, b: (calls.append((a, b)), distance(self, a, b))[1])
+    scale, rows = metric.grid(points, mode)
+    monkeypatch.undo()
+    n = len(points)
+    assert len(rows) == n and all(len(row) == n for row in rows)
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            d = metric.distance(p, q)
+            if mode == EXACT:
+                assert type(rows[i][j]) is int and Fraction(rows[i][j], scale) == d, (p, q)
+            else:
+                assert type(rows[i][j]) is type(d) and repr(rows[i][j]) == repr(d), (p, q)
+    if mode == EXACT:
+        assert calls == []
+    else:
+        assert scale is None
+        assert calls == [(points[i], points[j]) for i in range(n) for j in range(i, n)]
+
+
+def test_the_plane_has_no_exact_grid():
+    with pytest.raises(InvalidPointError):
+        EuclideanMetric().grid([(0, 0)], EXACT)
