@@ -48,26 +48,26 @@ return a DualCertificate with the re-derived totals and per-pair slacks.
 engine's self-check its growing log after every step.  An instant settles
 when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
-checked once.  Pair budgets come from ``Instance.budgets``, not the engine;
-the endgame sums ``metric.distance`` over the matched pairs, apart from the
-grid both tables are built on, and the cross-check compares the run's
-totals with that sum.
+checked once.  Pair budgets come from ``Instance.grid`` (``Grid.cost``,
+``Grid.pairs``), which the engine reads too but cannot change; the endgame
+sums ``metric.distance`` over the matched pairs, apart from the grid, and
+the cross-check compares the run's totals with that sum.
 
 In exact mode the replay computes on Python ints over a scale ``S``: an int
-``x`` stands for ``x / S``.  The clock, arrival times, potentials, frozen
-pair values, pair costs and each set's ``y`` and growth end are scaled.  ``S``
-starts as the scale of ``Instance.budgets``, whose times and costs it reads:
-the lcm of the denominators of the arrival times and of the metric's inputs
-(positions, a ring's circumference, matrix entries), see ``Instance.grid``.
-Trace times are read as they are; a time not of the mode (``is_scalar``) or
-an index that is not an int breaks the trace shape.  When an event time or
-a growth endpoint with denominator ``den`` falls off the grid, ``S`` grows by
-``k = den // gcd(S, den)`` and every scaled int is multiplied by ``k`` into
-new containers; the shared table stays as it was.  None of it is engine code,
-so one bug cannot fool both.  Fractions are built only for witnesses and
-messages and the totals.  A ``DualCertificate`` keeps the scaled slacks and
-the scale: ``edge_slacks`` and ``min_slack`` build Fractions when read, and
-``to_json`` prints each slack from its int with ``scalars.dump_ratio``.
+``x`` stands for ``x / S``.  The clock, the grid, potentials, frozen pair
+values and each set's ``y`` and growth end are scaled.  ``S`` starts as the
+scale of ``Instance.grid``: the lcm of the denominators of the arrival times
+and of the metric's inputs (positions, a ring's circumference, matrix
+entries).  Trace times are read as they are; a time not of the mode
+(``is_scalar``) or an index that is not an int breaks the trace shape.  When
+an event time or a growth endpoint with denominator ``den`` falls off the
+grid, ``S`` grows by ``k = den // gcd(S, den)`` and every scaled int is
+multiplied by ``k`` into new containers (``Grid.rescaled``); the shared grid
+stays as it was.  None of it is engine code, so one bug cannot fool both.
+Fractions are built only for witnesses and messages and the totals.  A
+``DualCertificate`` keeps the scaled slacks and the scale: ``edge_slacks``
+and ``min_slack`` build Fractions when read, and ``to_json`` prints each
+slack from its int with ``scalars.dump_ratio``.
 Float mode runs the same code on the floats themselves, with no scale.
 
 Dual feasibility is checked once, where the replay stops: at the end, at
@@ -223,14 +223,12 @@ class _Replay:
         self.per_event = per_event  # the reference: a full sweep after each growth and settle
         self.mode = inst.mode
         n = len(inst.requests)
-        budgets = inst.budgets  # shared: read here, replaced by ``_rescale``
-        self.scale = budgets.scale  # None in float mode
-        self.zero = 0.0 if self.scale is None else 0
-        # Scaled: the clock, the arrival times, the potentials, the frozen
-        # pair values, the costs, and each set's ``y`` and ``growth_end``.
+        self.grid = inst.grid  # shared and immutable: ``_rescale`` replaces it
+        self.zero = 0.0 if self.grid.scale is None else 0
+        # Scaled: the clock, the grid, the potentials, the frozen pair
+        # values, and each set's ``y`` and ``growth_end``.
         self._clock = self.zero
         self.clock = self.external(self.zero)  # the time of the last clock move, as the trace gave it
-        self.atime = budgets.atime
         self.next_arrival = 0
         self.potential = [self.zero] * n
         self.assign = [None] * n
@@ -244,7 +242,6 @@ class _Replay:
         self.applied = 0  # events applied so far: the cursor of ``feed``
         self.settled = 0  # ``applied`` at the last settle
         self.handed = ((), 0, False, None)  # ``drive``'s last input: (events, count, end, result)
-        self.cost = budgets.cost
 
     # -- scaled values ---------------------------------------------------------
 
@@ -253,25 +250,23 @@ class _Replay:
         is off it.  A time that is not a scalar of the mode breaks the trace."""
         if not is_scalar(t, self.mode):
             self._fail("trace-shape", f"time {t!r} is not a scalar of {self.mode} mode", type=type(t).__name__)
-        if self.scale is None:
+        if self.grid.scale is None:
             return t
         den = t.denominator
-        if self.scale % den:
-            self._rescale(den // gcd(self.scale, den))
-        return t.numerator * (self.scale // den)
+        if self.grid.scale % den:
+            self._rescale(den // gcd(self.grid.scale, den))
+        return t.numerator * (self.grid.scale // den)
 
     def external(self, x):
         """The value a scaled ``x`` stands for."""
-        return x if self.scale is None else Fraction(x, self.scale)
+        return self.grid.value(x)
 
     def _rescale(self, k):
         """Multiply the scale, and every scaled value with it, by ``k``."""
-        self.scale *= k
+        self.grid = self.grid.rescaled(k)
         self._clock *= k
-        self.atime = [t * k for t in self.atime]
         self.potential = [p * k for p in self.potential]
         self.frozen = {key: x * k for key, x in self.frozen.items()}
-        self.cost = {key: c * k for key, c in self.cost.items()}
         for rec in self.sets:
             rec.y *= k
             rec.growth_end *= k
@@ -354,7 +349,7 @@ class _Replay:
         if u != self.next_arrival:
             self._fail("trace-shape", f"arrival out of order: expected {self.next_arrival}, got {u}", u=u)
         t = self.scaled(ev.t)
-        if t != self.atime[u]:
+        if t != self.grid.atime[u]:
             req = self.inst.requests[u]
             self._fail("trace-shape", f"request {u} arrived at the wrong time", u=u, at=ev.t, atime=req.atime)
         self._move_clock(ev.t, t)
@@ -373,9 +368,9 @@ class _Replay:
         rec = self.sets[sid]
         if start is None or end is None:
             self._fail("trace-shape", "growth interval missing an endpoint", set=sid)
-        scale = self.scale
+        scale = self.grid.scale
         t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
-        if self.scale != scale:  # the scale grew under the first ones
+        if self.grid.scale != scale:  # the scale grew under the first ones
             t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
         if b != t:
             self._fail("trace-shape", "growth interval must end at the event time", set=sid, to=end, at=ev.t)
@@ -410,12 +405,11 @@ class _Replay:
             self._fail("trace-shape", "tight pair out of range", u=u, v=v)
         if self.assign[u] is None or self.assign[v] is None:
             self._fail("trace-shape", "tight pair not fully arrived", u=u, v=v)
-        key = (min(u, v), max(u, v))
-        if key not in self.cost:
+        if not self.inst.eligible(u, v):
             self._fail("trace-shape", f"tight pair ({u}, {v}) is not eligible", u=u, v=v)
         if self.assign[u] == self.assign[v]:
             self._fail("trace-shape", f"tight pair ({u}, {v}) lies inside one active set", u=u, v=v)
-        value, cost = self.pair_value(u, v), self.cost[key]
+        value, cost = self.pair_value(u, v), self.grid.cost(u, v)
         if not self._at_budget(value, cost):
             value, cost = self.external(value), self.external(cost)
             self._fail(
@@ -427,7 +421,7 @@ class _Replay:
                 value=value,
                 budget=cost,
             )
-        self.pending_tight = key
+        self.pending_tight = (min(u, v), max(u, v))
 
     def _ev_merge(self, ev):
         sid, a, b = ev.payload.get("set"), ev.payload.get("a"), ev.payload.get("b")
@@ -451,12 +445,12 @@ class _Replay:
             )
         members = ra.members | rb.members
         rec = _RSet(sid, members, surplus(self.inst, members), ra.free | rb.free, self._clock, self.zero)
-        cost, potential, frozen = self.cost, self.potential, self.frozen
+        sgn, potential, frozen = self.grid.sgn, self.potential, self.frozen
         for x in ra.members:
+            partner = -sgn[x]
             for w in rb.members:
-                k = (x, w) if x < w else (w, x)
-                if k in cost:
-                    frozen[k] = potential[x] + potential[w]
+                if sgn[w] == partner:
+                    frozen[(x, w) if x < w else (w, x)] = potential[x] + potential[w]
         ra.parent = rb.parent = sid
         self.sets.append(rec)
         for w in members:
@@ -517,7 +511,7 @@ class _Replay:
                 )
 
     def _check_potential(self):
-        clock, atime, potential, mode = self._clock, self.atime, self.potential, self.mode
+        clock, atime, potential, mode = self._clock, self.grid.atime, self.potential, self.mode
         assign, sets = self.assign, self.sets
         for u in range(self.next_arrival):
             bound = clock - atime[u]
@@ -546,7 +540,7 @@ class _Replay:
     def _at_budget(self, x, c):
         """Whether a pair of value ``x`` is tight at its budget ``c``: equal in
         exact mode, within ``tol(c)`` of it in float mode (see ``scalars``)."""
-        if self.scale is not None:
+        if self.grid.scale is not None:
             return x == c
         t = tol(c)
         return c - t <= x <= c + t
@@ -573,12 +567,11 @@ class _Replay:
     def _first_over_budget(self):
         """The first arrived (u, v, value, budget) over budget: beyond it in
         exact mode, beyond ``c + tol(c)`` in float mode (see ``scalars``)."""
-        assign, potential, frozen, exact = self.assign, self.potential, self.frozen, self.scale is not None
-        for key, c in self.cost.items():
-            u, v = key
-            if assign[u] is None or assign[v] is None:
-                continue
-            x = frozen[key] if key in frozen else potential[u] + potential[v]
+        potential, frozen, exact = self.potential, self.frozen.get, self.grid.scale is not None
+        for u, v, c in self.grid.pairs(self.next_arrival):
+            x = frozen((u, v))
+            if x is None:
+                x = potential[u] + potential[v]
             if x > c and (exact or x > c + tol(c)):
                 return u, v, x, c
         return None
@@ -729,7 +722,7 @@ class _Replay:
     def slacks(self):
         """Each eligible pair's scaled slack, (u, v, slack), sorted by pair."""
         pair_value = self.pair_value
-        return tuple((u, v, c - pair_value(u, v)) for (u, v), c in self.cost.items())
+        return tuple((u, v, c - pair_value(u, v)) for u, v, c in self.grid.pairs(len(self.inst.requests)))
 
 
 def marked_path(inst, marked, sets, pair, route=None):
@@ -747,15 +740,15 @@ def marked_path(inst, marked, sets, pair, route=None):
     if found is None:
         return None
     path, max_cross = found
-    budgets = inst.budgets
+    grid = inst.grid
     length = 0
     for x, w in zip(path, path[1:]):
-        length += budgets.cost[(x, w) if x < w else (w, x)]
+        length += grid.cost(x, w)
     distance = inst.metric.distance(inst.requests[u].pos, inst.requests[v].pos)
     return PathCheck(
         pair=(u, v),
         path=tuple(path),
-        path_length=budgets.value(length),
+        path_length=grid.value(length),
         distance=distance,
         max_crossings=max_cross,
     )
@@ -817,7 +810,7 @@ def _certify(inst: Instance, events, result=None):
         num_sets=len(replay.sets),
         num_marked_edges=len(replay.marked),
         slacks=replay.slacks(),
-        scale=replay.scale,
+        scale=replay.grid.scale,
     )
 
 

@@ -13,9 +13,10 @@ stands for ``x / S``.  ``S`` starts as the scale of ``Instance.grid``, the
 lcm of the denominators of the arrival times and of the metric's inputs
 (positions, a ring's circumference, matrix entries), so the distance table
 is computed on ints from the first distance.  It grows by a factor ``k``
-(every stored int with it) when a time off the grid appears: a tight time
-half a step off, or an off-grid ``advance_to``.  The run's totals are summed
-on the grid too.  Fractions are built only where values leave the engine:
+(every stored int with it, into new lists: the grid is shared with the
+certifier) when a time off the grid appears: a tight time half a step off,
+or an off-grid ``advance_to``.  The run's totals are summed on the grid
+too.  Fractions are built only where values leave the engine:
 event times, the ``y`` of each ``SetRecord`` once the run ends,
 ``RunResult``, and the times taken and returned by ``next_event`` and
 ``advance_to``.  Every comparison is exact.  Float
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .instance import Instance, decode_json, surplus
+from .instance import Instance, decode_json
 from .scalars import EXACT, Scalar, dump_scalar, eq, parse_scalar, tol
 
 ARRIVAL = "arrival"
@@ -247,16 +248,15 @@ class GreedyDualEngine:
         self.inst = inst
         self.mode = inst.mode
         self.self_check = self_check
-        reqs = inst.requests
-        n = len(reqs)
+        n = len(inst.requests)
         self._exact = self.mode == EXACT
         self._band_tol = None if self._exact else tol  # see ``_band``
         # Distances over distinct positions only: requests often share them.
-        self._scale, self._pid, self._dist, self._atime = inst.grid()  # scale None in float mode
+        grid = inst.grid  # shared and immutable: ``_rescale`` builds new lists
+        self._scale, self._pid, self._dist, self._atime, self._sgn = grid.scale, grid.pid, grid.dist, grid.atime, grid.sgn
         self._zero = 0 if self._exact else 0.0  # scaled
         self._clock = self._zero  # self.clock in units of 1 / scale
         self.potential = [self._zero] * n  # accumulated dual value over sets containing u, scaled
-        self._sgn = [r.sgn for r in reqs]
         self.clock = self._external(self._zero)
         self.next_arrival = 0
         self.assign = [None] * n  # request index -> active set_id
@@ -440,13 +440,14 @@ class GreedyDualEngine:
 
         sid = len(self.sets)
         members = a.members | b.members
+        self._fold(a.set_id, b.set_id, sid)
+        neutral, positive, negative = self._polarity[sid]
         rec = SetRecord(
-            set_id=sid, members=members, sur=surplus(self.inst, members), y=self._zero, free=a.free | b.free
+            set_id=sid, members=members, sur=neutral % 2 + abs(positive - negative), y=self._zero, free=a.free | b.free
         )
         self.growing.discard(a.set_id)
         self.growing.discard(b.set_id)
         self.sets.append(rec)
-        self._fold(a.set_id, b.set_id, sid)
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
@@ -595,12 +596,19 @@ class GreedyDualEngine:
         # There must be one bucket per pair of replayed active sets with an
         # eligible pair of arrived requests between them, and as many such
         # pairs as ``live_pairs`` counts.
-        cost, sets = replay.cost, sorted(members)
+        grid, sets = replay.grid, sorted(members)
+        dist, pid, atime, sgn = grid.dist, grid.pid, grid.atime, grid.sgn
         cross = {}  # (a, b) -> the eligible pairs (u, v, replayed budget) between sets a < b
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
-                keys = ((x, y) if x < y else (y, x) for x in members[a] for y in members[b])
-                if pairs := [(*k, cost[k]) for k in keys if k in cost]:
+                pairs = []
+                for x in members[a]:
+                    row, tx, partner = dist[pid[x]], atime[x], -sgn[x]
+                    for y in members[b]:
+                        if sgn[y] == partner:
+                            c = row[pid[y]] + abs(tx - atime[y])
+                            pairs.append((x, y, c) if x < y else (y, x, c))
+                if pairs:
                     cross[a, b] = pairs
         not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
         if (

@@ -7,11 +7,11 @@ everywhere.  Every scalar is of the mode (``scalars.is_scalar``: exact mode
 holds no float, float mode no NaN, infinity or int beyond binary64 range),
 checked once at construction, positions through ``Metric.check_point``.
 Instances are immutable after construction.  ``grid`` puts the instance on
-one integer grid in exact mode: the distinct positions' distance table and
-the arrival times, computed on ints from the first distance.  ``budgets``,
-the pair budgets on that grid (``Budgets``), is built on first use and
-shared by the certifier and the offline solvers; the engine builds its own
-table from its own call to ``grid``.
+one integer grid in exact mode: the distinct positions' distance table, the
+arrival times and the polarities, computed on ints from the first distance.
+It is built on first use, once per instance, as a ``Grid`` of tuples that no
+reader can change, and read by the engine, the certifier and the offline
+solvers; a pair's budget is computed from it when asked (``Grid.cost``).
 """
 
 from __future__ import annotations
@@ -90,19 +90,17 @@ class Instance:
             return False
         return self.requests[u].sgn == -self.requests[v].sgn
 
-    def grid(self) -> tuple:
-        """``(scale, pid, dist, atime)``: the instance on one grid.  ``pid[u]``
-        indexes request u's position among the distinct positions, first seen
-        first; ``dist`` is ``Metric.grid`` over those positions, and ``atime``
-        the arrival times.  In exact mode every value is an int times
-        ``scale``: the metric's grid scale times the least ``k`` that puts the
-        arrival times on the grid too.  In float mode ``scale`` is None and
-        the values are the metric's and the instance's.  Float budgets that
-        may overflow are refused (``require_finite_budgets``).  Each call
-        builds new lists."""
+    @cached_property
+    def grid(self) -> Grid:
+        """The instance on one ``Grid``, built once.  ``pid[u]`` indexes
+        request u's position among the distinct positions, first seen first;
+        ``dist`` is ``Metric.grid`` over those positions, whose exact scale is
+        multiplied by the least ``k`` that puts the arrival times on the grid
+        too.  Float budgets that may overflow are refused
+        (``require_finite_budgets``)."""
         reqs = self.requests
         ids = {}
-        pid = [ids.setdefault(r.pos, len(ids)) for r in reqs]
+        pid = tuple(ids.setdefault(r.pos, len(ids)) for r in reqs)
         scale, dist = self.metric.grid(list(ids), self.mode)
         atime = [r.atime for r in reqs]
         require_finite_budgets(self.mode, dist, atime)
@@ -113,36 +111,47 @@ class Instance:
                 scale *= k
                 dist = [[d * k for d in row] for row in dist]
             atime = [t.numerator * (scale // t.denominator) for t in atime]
-        return scale, pid, dist, atime
-
-    @cached_property
-    def budgets(self) -> Budgets:
-        """The instance on its grid; built once per instance, never mutated."""
-        scale, pid, dist, atime = self.grid()
-        sgn = [r.sgn for r in self.requests]
-        cost = {
-            (u, v): row[pv] + abs(atime[u] - atime[v])
-            for u, row in enumerate(dist[p] for p in pid)
-            for v, pv in enumerate(pid[u + 1 :], u + 1)
-            if sgn[u] == -sgn[v]
-        }
-        return Budgets(scale, tuple(atime), cost)
+        return Grid(scale, pid, tuple(map(tuple, dist)), tuple(atime), tuple(r.sgn for r in reqs))
 
 
 @dataclass(frozen=True)
-class Budgets:
-    """The arrival times and, for each eligible pair u < v in lexicographic
-    order, its ``edge_cost``: in exact mode as ints times the scale of
-    ``Instance.grid``, the lcm of the denominators of the arrival times and
-    of the metric's inputs (positions, a ring's ``h``, the matrix entries
-    between the positions); in float mode as they are."""
+class Grid:
+    """An instance on one grid: the distance table ``dist`` over the distinct
+    positions, each request's position index ``pid``, arrival time ``atime``
+    and polarity ``sgn``, all tuples.  In exact mode every distance and time
+    is an int times ``scale``, the lcm of the denominators of the arrival
+    times and of the metric's inputs (positions, a ring's ``h``, the matrix
+    entries between the positions); in float mode ``scale`` is None and they
+    are as they are."""
 
-    scale: Optional[int]  # None in float mode
+    scale: Optional[int]
+    pid: tuple
+    dist: tuple
     atime: tuple
-    cost: dict
+    sgn: tuple
+
+    def cost(self, u: int, v: int) -> Scalar:
+        """The budget of pair (u, v) on this grid, distance plus arrival gap;
+        the caller checks that the pair is eligible."""
+        return self.dist[self.pid[u]][self.pid[v]] + abs(self.atime[u] - self.atime[v])
+
+    def pairs(self, n: int):
+        """Yield the eligible pairs u < v among the first ``n`` requests, as
+        ``(u, v, budget)`` in lexicographic order."""
+        dist, pid, atime, sgn = self.dist, self.pid, self.atime, self.sgn
+        for u in range(n):
+            row, au, partner = dist[pid[u]], atime[u], -sgn[u]
+            for v in range(u + 1, n):
+                if sgn[v] == partner:
+                    yield u, v, row[pid[v]] + abs(au - atime[v])
+
+    def rescaled(self, k: int) -> Grid:
+        """This grid with the scale, and every distance and time, times ``k``."""
+        dist = tuple(tuple(d * k for d in row) for row in self.dist)
+        return Grid(self.scale * k, self.pid, dist, tuple(t * k for t in self.atime), self.sgn)
 
     def value(self, x) -> Scalar:
-        """The value a sum ``x`` of this table's entries stands for."""
+        """The value a sum ``x`` of this grid's budgets stands for."""
         return x if self.scale is None else Fraction(x, self.scale)
 
 

@@ -5,11 +5,11 @@ is dist + |arrival gap| -- exactly the constraint budget.  Two routes: an
 exhaustive search over perfect matchings (any variant, up to 12 requests) and
 an assignment solver for the bipartite variant (any size, exact arithmetic).
 
-Both solvers read the pair costs of ``Instance.budgets``: in exact mode ints,
-every budget times the table's scale ``S`` (the lcm of the denominators of
-the arrival times and of the metric's inputs, ``Instance.grid``), built on
-ints from the first distance, with the optimum returned as
-``Fraction(total, S)``, an empty sum included.  Scaling by a positive constant
+Both solvers read the pair costs from ``Instance.grid`` (``Grid.cost``): in
+exact mode ints, every budget times the grid's scale ``S`` (the lcm of the
+denominators of the arrival times and of the metric's inputs), built on ints
+from the first distance, with the optimum returned as ``Fraction(total, S)``
+(``Grid.value``), an empty sum included.  Scaling by a positive constant
 keeps every comparison, so ties break, and pairs come out, as over the
 rationals.  Float mode solves on the budgets as they are.
 """
@@ -56,7 +56,7 @@ def opt_brute(inst: Instance) -> OptSolution:
         raise BruteForceSizeError(
             f"{n} requests exceed the brute-force limit of {BRUTE_LIMIT}; {hint}"
         )
-    costs = inst.budgets.cost
+    grid = inst.grid
 
     best_pairs = None
     best_value = None
@@ -71,11 +71,10 @@ def opt_brute(inst: Instance) -> OptSolution:
         u = unmatched[0]
         rest = unmatched[1:]
         for i, v in enumerate(rest):
-            c = costs.get((u, v))
-            if c is None:
+            if not inst.eligible(u, v):
                 continue
             chosen.append((u, v))
-            search(rest[:i] + rest[i + 1 :], chosen, acc + c)
+            search(rest[:i] + rest[i + 1 :], chosen, acc + grid.cost(u, v))
             chosen.pop()
 
     search(tuple(range(n)), [], 0)
@@ -83,7 +82,7 @@ def opt_brute(inst: Instance) -> OptSolution:
         # Unreachable for valid instances: balanced polarity always admits
         # a perfect matching.
         raise VariantError("no eligible perfect matching exists")
-    return OptSolution(pairs=best_pairs, value=inst.budgets.value(best_value), method="brute")
+    return OptSolution(pairs=best_pairs, value=grid.value(best_value), method="brute")
 
 
 def opt_hungarian(inst: Instance) -> OptSolution:
@@ -96,13 +95,13 @@ def opt_hungarian(inst: Instance) -> OptSolution:
         raise VariantError("the assignment solver needs the bipartite variant")
     pos = [r.index for r in inst.requests if r.sgn == 1]
     neg = [r.index for r in inst.requests if r.sgn == -1]
-    cost = inst.budgets.cost
-    matrix = [[cost[min(p, q), max(p, q)] for q in neg] for p in pos]
+    grid = inst.grid
+    matrix = [[grid.cost(p, q) for q in neg] for p in pos]
     assignment, value = _solve_assignment(matrix)
     pairs = sorted(
         (min(pos[i], neg[j]), max(pos[i], neg[j])) for i, j in assignment
     )
-    return OptSolution(pairs=tuple(pairs), value=inst.budgets.value(value), method="hungarian")
+    return OptSolution(pairs=tuple(pairs), value=grid.value(value), method="hungarian")
 
 
 def _solve_assignment(matrix):

@@ -265,7 +265,7 @@ def test_float_value_within_leq_but_above_the_budget_edge_is_a_breach():
     near = far[:2] + [(c, 0.0, 0), (c, 0.0, 0)]
     events = list(run(make_instance(MPMD, LINE, far, mode=FLOAT)).event_log)
     inst = make_instance(MPMD, LINE, near, mode=FLOAT)
-    assert inst.budgets.cost[0, 2] == c and events[-1].t == x
+    assert inst.grid.cost(0, 2) == c and events[-1].t == x
     grow = next(i for i, e in enumerate(events) if e.kind == GROW and e.payload["set"] == 0)
     stop = _Replay(inst)
     assert stop.drive(events, True) is None  # every other check passes
@@ -310,7 +310,7 @@ def test_a_pair_logged_tight_below_its_budget_certifies():
     inst = make_instance(
         MPMD, LINE, [(0.0, 0.0, 0), (1.000000001, 0.0, 0), (100.0, 0.5, 0), (200.0, 0.5, 0)], mode=FLOAT
     )
-    c = inst.budgets.cost[0, 1]
+    c = inst.grid.cost(0, 1)
     assert c > 1.0 and c - tol(c) == 1.0
     result = run(inst, self_check=True)
     assert EventRecord(t=0.5, kind=TIGHT, payload={"u": 0, "v": 1}) in result.event_log
@@ -457,22 +457,28 @@ def test_marked_path_length_is_the_edge_cost_sum_along_the_path(inst):
         assert check.path_length == expected, (u, v)
 
 
-def test_certifying_leaves_the_shared_budget_table_as_it_was(monkeypatch):
-    """The replay takes its costs and arrival times from ``Instance.budgets``
-    and must rescale into new containers: certifying twice, and a
-    self-checked run before certifying, give one certificate, and the table
-    still equals a fresh instance's."""
+def test_certifying_leaves_the_shared_grid_as_it_was(monkeypatch):
+    """The engine and the replay read one ``Instance.grid`` and must rescale
+    into their own containers: a plain run, a self-checked run and two
+    certifications, each rescaling, give one certificate, and the grid still
+    equals a fresh instance's, with every field a tuple."""
     rescales = []
-    rescale = _Replay._rescale
-    monkeypatch.setattr(_Replay, "_rescale", lambda self, k: (rescales.append(k), rescale(self, k)))
+    for cls in (GreedyDualEngine, _Replay):
+        rescale = cls._rescale
+        monkeypatch.setattr(cls, "_rescale", lambda self, k, rescale=rescale: (rescales.append(type(self)), rescale(self, k)))
     inst = gen_random_instance(seed=1, m=8, metric_kind="ring")
+    grid = inst.grid
     res = run(inst)
+    assert rescales == [GreedyDualEngine]  # the engine rescaled on this instance
     first = certify(inst, res).to_json()
-    assert first["ok"] and rescales  # the replay rescaled on this instance
+    assert first["ok"] and rescales == [GreedyDualEngine, _Replay]  # and so did the replay
     assert certify(inst, res).to_json() == first
     checked = GreedyDualEngine(inst, self_check=True).run()
     assert certify(inst, checked).to_json() == first
-    assert inst.budgets == gen_random_instance(seed=1, m=8, metric_kind="ring").budgets
+    assert rescales.count(GreedyDualEngine) == 2 and rescales.count(_Replay) == 4
+    assert inst.grid is grid
+    assert grid == gen_random_instance(seed=1, m=8, metric_kind="ring").grid
+    assert all(type(f) is tuple for f in (grid.pid, grid.dist, *grid.dist, grid.atime, grid.sgn))
 
 
 def test_marked_path_check_rejects_disconnected_pairs():
@@ -656,7 +662,7 @@ def _assert_admitted_structure(replay):
     inside = [assign[u] for u, v, _ in replay.marked if assign[u] == assign[v]]
     assert len(inside) == len(replay.marked), "a marked edge crosses active sets"
     assert all(inside.count(rec.set_id) == len(rec.members) - 1 for rec in active)
-    assert all(replay._at_budget(replay.frozen[u, v], replay.cost[u, v]) for u, v, _ in replay.marked)
+    assert all(replay._at_budget(replay.frozen[u, v], replay.grid.cost(u, v)) for u, v, _ in replay.marked)
 
 
 def test_admission_keeps_the_laminar_structure(differential, monkeypatch):

@@ -345,7 +345,7 @@ def test_overflowing_budget_is_refused_before_the_first_event(triples):
     # Finite positions whose distance overflows binary64: the budget is inf.
     inst = make_instance(MPMD, LINE, triples, mode=FLOAT)
     refused = "^float budgets overflow: the largest distance plus the arrival span exceeds binary64 range$"
-    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.grid):
         with pytest.raises(InstanceError, match=refused):
             build()
 
@@ -357,7 +357,7 @@ def test_overflowing_clock_is_refused_before_the_first_event():
     refused = (
         "^float clock overflow: twice the largest [|]arrival time[|] plus the budget bound exceeds binary64 range$"
     )
-    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.grid):
         with pytest.raises(InstanceError, match=refused):
             build()
     # Late arrivals that stay inside the bound run to the end.
@@ -372,7 +372,7 @@ def test_overflowing_total_cost_is_refused_before_the_first_event():
     # bound, which bounds the total, is beyond binary64 range.
     inst = make_instance(MPMD, LINE, [(0, 0, 0), (1.5e308, 0, 0)], mode=FLOAT)
     refused = "^float cost overflow: 2 [*] m times the budget bound exceeds binary64 range$"
-    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.budgets):
+    for build in (lambda: GreedyDualEngine(inst), lambda: run(inst, self_check=True), lambda: inst.grid):
         with pytest.raises(InstanceError, match=refused):
             build()
     # At half the range the total is 1.5e308 and the run ends.
@@ -396,7 +396,7 @@ def test_an_exact_run_is_on_the_grid_and_only_the_certifier_calls_distance(kind,
     assert all(type(rec.y) is int for rec in eng.sets)
     res = eng.run()
     assert all(type(rec.y) is Fraction for rec in res.all_sets)
-    assert inst.budgets.cost
+    assert list(inst.grid.pairs(len(inst.requests)))
     assert calls == []
     assert certify(inst, res).ok
     reqs = inst.requests

@@ -167,7 +167,7 @@ def test_float_near_tie_buckets_pass_the_self_check():
 @pytest.mark.parametrize("seed", TOTAL_BOUND_SEEDS)
 def test_near_tie_runs_with_budgets_below_the_tolerance_exceed_the_total_bound(seed):
     inst = near_tie_instance(seed)
-    assert min(inst.budgets.cost.values()) < EPS_TIGHT
+    assert min(c for _, _, c in inst.grid.pairs(len(inst.requests))) < EPS_TIGHT
     verdict = certify(inst, run(inst))
     assert (verdict.prop, verdict.event_index) == ("total-bound", -1)
     with pytest.raises(EngineInvariantError, match="^total-bound: "):

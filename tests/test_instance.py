@@ -279,7 +279,7 @@ def test_euclidean_defaults_to_float_mode():
 def test_m_counts_pairs():
     inst = line_instance([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
     assert inst.m == 2
-    assert len(inst.budgets.cost) == 6
+    assert len(list(inst.grid.pairs(4))) == 6
 
 
 @pytest.mark.parametrize(
@@ -296,34 +296,41 @@ def test_m_counts_pairs():
     ],
     ids=lambda inst: f"{inst.metric.kind}-{inst.variant}",
 )
-def test_budgets_table_is_edge_cost_over_eligible_pairs(inst):
+def test_grid_pairs_are_edge_cost_over_eligible_pairs(inst):
     n = len(inst.requests)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    table = inst.budgets
-    # Only eligible pairs, every one of them, keys in lexicographic order.
-    assert list(table.cost) == [(u, v) for u, v in pairs if edge_cost(inst, u, v) is not None]
-    assert all(inst.eligible(u, v) for u, v in table.cost)
+    grid = inst.grid
+    listed = list(grid.pairs(n))
+    # Only eligible pairs, every one of them, in lexicographic order.
+    assert [(u, v) for u, v, _ in listed] == [(u, v) for u, v in pairs if edge_cost(inst, u, v) is not None]
+    assert all(inst.eligible(u, v) for u, v, _ in listed)
+    # The pairs among the first k requests are those of all n with v < k.
+    assert list(grid.pairs(n // 2)) == [p for p in listed if p[1] < n // 2]
     exact = inst.mode == EXACT
     if exact:
-        assert all(type(x) is int for x in (*table.atime, *table.cost.values()))
+        assert all(type(x) is int for x in (*grid.atime, *(c for _, _, c in listed)))
     else:
-        assert table.scale is None
-    # Each cost over the scale is the pair's edge_cost (bit for bit in float mode).
-    assert all((Fraction(c, table.scale) if exact else c) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
-    assert [Fraction(t, table.scale) if exact else t for t in table.atime] == [r.atime for r in inst.requests]
-    assert inst.budgets is table  # built once per instance
+        assert grid.scale is None
+    # Each budget over the scale is the pair's edge_cost (bit for bit in float
+    # mode), and ``cost`` gives it for either order of the pair.
+    assert all((Fraction(c, grid.scale) if exact else c) == edge_cost(inst, u, v) for u, v, c in listed)
+    assert all(grid.cost(u, v) == c == grid.cost(v, u) for u, v, c in listed)
+    assert [Fraction(t, grid.scale) if exact else t for t in grid.atime] == [r.atime for r in inst.requests]
+    assert grid.sgn == tuple(r.sgn for r in inst.requests)
+    assert all(type(f) is tuple for f in (grid.pid, grid.dist, *grid.dist, grid.atime, grid.sgn))
+    assert inst.grid is grid  # built once per instance
 
 
-def test_budgets_scale_is_the_lcm_of_arrival_and_metric_input_denominators():
+def test_grid_scale_is_the_lcm_of_arrival_and_metric_input_denominators():
     # Positions with denominators 3, 4, 1 and 5; arrival times with 2.  (The
     # distances' denominators, 12, 3, 15, 4, 20 and 5, have the same lcm.)
     inst = line_instance(
         [(Fraction(1, 3), 0, 0), (Fraction(3, 4), Fraction(1, 2), 0), (0, 1, 0), (Fraction(1, 5), 1, 0)]
     )
-    table = inst.budgets
-    assert table.scale == 60
-    assert table.atime == (0, 30, 60, 60)
-    assert all(Fraction(c, 60) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
+    grid = inst.grid
+    assert grid.scale == 60
+    assert grid.atime == (0, 30, 60, 60)
+    assert all(Fraction(c, 60) == edge_cost(inst, u, v) for u, v, c in grid.pairs(4))
 
 
 @pytest.mark.parametrize(
@@ -338,9 +345,9 @@ def test_budgets_scale_is_the_lcm_of_arrival_and_metric_input_denominators():
     ],
     ids=["line", "ring", "matrix"],
 )
-def test_budgets_scale_takes_the_metric_inputs_and_the_arrival_times(metric, positions, scale):
+def test_grid_scale_takes_the_metric_inputs_and_the_arrival_times(metric, positions, scale):
     atimes = [0, Fraction(1, 2), 1, Fraction(3, 2)]
     inst = make_instance(MPMD, metric, [(p, t, 0) for p, t in zip(positions, atimes)])
-    table = inst.budgets
-    assert table.scale == scale
-    assert all(Fraction(c, scale) == edge_cost(inst, u, v) for (u, v), c in table.cost.items())
+    grid = inst.grid
+    assert grid.scale == scale
+    assert all(Fraction(c, scale) == edge_cost(inst, u, v) for u, v, c in grid.pairs(4))

@@ -138,7 +138,7 @@ def shift_positions(inst, d):
 )
 def test_moving_every_position_by_a_seventh_changes_no_byte(inst):
     moved = shift_positions(inst, Fraction(1, 7))
-    assert moved.grid()[0] == 7 * inst.grid()[0]  # a grid the outputs must not show
+    assert moved.grid.scale == 7 * inst.grid.scale  # a grid the outputs must not show
     base, res = run(inst), run(moved)
     assert events_to_jsonl(res) == events_to_jsonl(base)
     assert json.dumps(certify(moved, res).to_json()) == json.dumps(certify(inst, base).to_json())
