@@ -136,11 +136,16 @@ class DualCertificate:
         return least if least is None or self.scale is None else Fraction(least, self.scale)
 
     def to_json(self) -> dict:
-        mode, scale, least = self.mode, self.scale, self.min_slack
+        mode, scale = self.mode, self.scale
 
         def dump(s):
             return dump_scalar(s, mode) if scale is None else dump_ratio(s, scale)
 
+        return {**self.scalar_fields(), "edge_slacks": [[u, v, dump(s)] for u, v, s in self.slacks]}
+
+    def scalar_fields(self) -> dict:
+        """The fields of ``to_json`` before ``edge_slacks``, in its order."""
+        mode, least = self.mode, self.min_slack
         return {
             "ok": True,
             "m": self.m,
@@ -152,7 +157,6 @@ class DualCertificate:
             "num_sets": self.num_sets,
             "num_marked_edges": self.num_marked_edges,
             "min_slack": None if least is None else dump_scalar(least, mode),
-            "edge_slacks": [[u, v, dump(s)] for u, v, s in self.slacks],
         }
 
 

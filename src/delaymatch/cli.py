@@ -30,7 +30,7 @@ from .engine import EngineInvariantError, GreedyDualEngine, events_from_jsonl, e
 from .generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from .instance import MBPMD, MPMD, decode_json, instance_json, parse_instance
 from .offline import BRUTE_LIMIT, opt_brute, opt_hungarian
-from .scalars import MODES, ScalarError, dump_scalar, parse_scalar
+from .scalars import MODES, ScalarError, dump_ratio, dump_scalar, parse_scalar
 
 
 class CliError(Exception):
@@ -51,6 +51,33 @@ def _json_text(doc) -> str:
 
 def _emit(doc) -> None:
     sys.stdout.write(_json_text(doc))
+
+
+# A scalar's JSON text as json.dumps writes it, but strict: NaN or infinity raises ValueError.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _certificate_text(cert) -> str:
+    """``_json_text(cert.to_json())`` without the pure-Python encoder the
+    indent forces on every row: the scalar fields go through ``_json_text``,
+    then each ``edge_slacks`` row is written in the five lines the indent
+    gives it, with its slack's text from the C encoder, computed once per
+    distinct slack in exact mode.  A non-finite value raises ValueError."""
+    head = _json_text({**cert.scalar_fields(), "edge_slacks": []})
+    slacks, scale = cert.slacks, cert.scale
+    if not slacks:
+        return head
+    if scale is None:
+        texts = [_encode(dump_scalar(s, cert.mode)) for _, _, s in slacks]
+    else:
+        printed, texts = {}, []  # scaled slack -> its text
+        for _, _, s in slacks:
+            text = printed.get(s)
+            if text is None:
+                text = printed[s] = _encode(dump_ratio(s, scale))
+            texts.append(text)
+    rows = ",\n".join(f"    [\n      {u},\n      {v},\n      {text}\n    ]" for (u, v, _), text in zip(slacks, texts))
+    return head.removesuffix("[]\n}\n") + f"[\n{rows}\n  ]\n}}\n"
 
 
 def _read_text(path: str) -> str:
@@ -191,8 +218,8 @@ def _cmd_certify(args) -> int:
     if not cert.ok:
         _emit(cert.to_json())
         return 2
-    doc = cert.to_json()
     if args.expect:
+        doc = cert.scalar_fields()
         expected = decode_json(_read_text(args.expect))
         if not isinstance(expected, dict):
             raise CliError(f"--expect: summary must be a JSON object, got {type(expected).__name__}")
@@ -204,7 +231,7 @@ def _cmd_certify(args) -> int:
         if mismatch:
             _emit({"ok": False, "property": "summary-consistency", "mismatch": mismatch})
             return 2
-    _emit(doc)
+    sys.stdout.write(_certificate_text(cert))
     return 0
 
 

@@ -26,7 +26,7 @@ tolerance rule stated in ``scalars``.
 
 A run is single-threaded and deterministic: ``step`` admits every arrival of
 an instant in index order, then scans once for tight pairs, which merge in
-lexicographic order.  The scans visit only the *candidates* of each pair of
+lexicographic order.  The engine keeps only the *candidates* of each pair of
 active sets {A, B}: the eligible pairs between them whose slack is within a
 band of the least slack between them.  Every member of a set gains the same
 dual value, so the pairs of {A, B} lose slack at one rate and keep their
@@ -36,9 +36,33 @@ tol(c)`` for a pair of budget ``c`` in float mode, where rounding may reorder
 pairs that close.  Candidates are grouped by set when a request arrives; a
 merge of A and B into C drops {A, B} and, for each other active set X, looks
 up {A, X} and {B, X} (either may be missing) and folds them into {C, X}, which
-keeps the band of their union.  The event log is the one record of
-growth intervals, marks and matches; ``SetRecord`` keeps only each set's sum
-``y``, and ``growing`` the ids of the sets that grow.
+keeps the band of their union.
+
+A set's growth flag never changes while it is active, so a bucket's rate
+``r`` (its growing sets) is fixed for its life, and so is the time its least
+slack closes.  ``_due`` holds, for every bucket with ``r >= 1``, twice that
+time, scaled: ``2 * clock + 2 * slack / r`` as of the bucket's write.  The
+event search reads the buckets due first, then only those due by twice the
+clock plus the least key found there; the tight scan reads only the buckets
+due by twice the clock.  Both read a bucket's candidates with the
+expressions a scan of every candidate would use, so the key and the tight
+pairs are that scan's.  In exact mode a due time is exact.  In float mode it
+is a lower bound: the slack is the least slack less twice ``tol(B)``, for
+``B`` the largest distance plus the arrival span, which bounds every budget:
+one ``tol`` for the tight test and one for rounding drift.  Each value a
+candidate's key sums is at most its budget ``c`` plus ``tol(c)``
+(potentials are not negative and a live pair is within budget); each clock
+move adds to each endpoint's potential one rounded difference and one
+rounded sum, each off by at most half an ulp of such a value; and a run
+moves the clock once per arrival instant and once per merge instant, at
+most ``2n`` times for ``n`` requests.  So the drift stays below ``2n *
+2**-52 * c``, within ``tol(c) = 1e-9 * max(1, c)`` while ``n`` is below two
+million.  Sums with the clock round to binary64, which keeps these bounds:
+rounding is monotone.
+
+The event log is the one record of growth intervals, marks and matches;
+``SetRecord`` keeps only each set's sum ``y``, and ``growing`` the ids of the
+sets that grow.
 """
 
 from __future__ import annotations
@@ -68,17 +92,25 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     return positive * negative + neutral * (neutral - 1) // 2
 
 
-def _band(cands: list, pot: list, band_tol) -> list:
+def _band(cands: list, pot: list, band_tol) -> tuple:
     """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
     potentials ``pot`` is at most the least slack plus twice their own
-    ``band_tol``: ``scalars.tol``, or None in exact mode, for a band of 0."""
+    ``band_tol`` (``scalars.tol``, or None in exact mode, for a band of 0),
+    and that least slack."""
     slacks = [c - pot[u] - pot[v] for u, v, c in cands]
     least = min(slacks)
     if slacks.count(least) == len(slacks):  # all tied: nothing to trim
-        return cands
+        return cands, least
     if band_tol is None:
-        return [p for p, s in zip(cands, slacks) if s == least]
-    return [p for p, s in zip(cands, slacks) if s <= least + 2 * band_tol(p[2])]
+        return [p for p, s in zip(cands, slacks) if s == least], least
+    return [p for p, s in zip(cands, slacks) if s <= least + 2 * band_tol(p[2])], least
+
+
+def _surplus(counts: list) -> int:
+    """The surplus of a set with ``[neutral, positive, negative]`` members:
+    how many stay free once it matches all it can."""
+    neutral, positive, negative = counts
+    return neutral % 2 + abs(positive - negative)
 
 
 class _LivePairs:
@@ -170,15 +202,27 @@ _LINE = dict.fromkeys(("t", "kind", "payload")).keys()  # the fields of a trace 
 # A time's JSON text as json.dumps writes it, but strict: NaN or infinity raises ValueError.
 _encode = json.JSONEncoder(allow_nan=False).encode
 
+# The line of each kind whose payload has the engine's fields in the
+# engine's order, to fill with the time's text and the payload's values.
+_GROW_FIELDS = ("set", "from", "to")
+_GROW_LINE = '{"t": %s, "kind": "grow-interval", "payload": {"set": %s, "from": %s, "to": %s}}\n'
+_LINES = {
+    ARRIVAL: (("u",), '{"t": %s, "kind": "arrival", "payload": {"u": %s}}\n'),
+    TIGHT: (("u", "v"), '{"t": %s, "kind": "tight", "payload": {"u": %s, "v": %s}}\n'),
+    MERGE: (("set", "a", "b"), '{"t": %s, "kind": "merge", "payload": {"set": %s, "a": %s, "b": %s}}\n'),
+    MATCH: (("u", "v"), '{"t": %s, "kind": "match", "payload": {"u": %s, "v": %s}}\n'),
+}
+
 
 def events_to_jsonl(result: RunResult) -> str:
     """The event log as JSON lines: per event, the bytes ``json.dumps`` gives
     ``{"t": t, "kind": kind, "payload": payload}`` with every time dumped by
     ``dump_scalar``.  The kinds and the payload's other fields are the
-    engine's names and ints.  Each time's text is computed once per time
-    object, which is once per instant: the engine logs one object for all
-    the events of an instant, and the log keeps each alive, so its id is not
-    reused.  A NaN or infinite time raises ValueError."""
+    engine's names and ints; a payload with other fields, or in another
+    order, is written field by field.  Each time's text is computed once per
+    time object, which is once per instant: the engine logs one object for
+    all the events of an instant, and the log keeps each alive, so its id is
+    not reused.  A NaN or infinite time raises ValueError."""
     mode, texts = result.mode, {}
 
     def text(t):
@@ -188,9 +232,24 @@ def events_to_jsonl(result: RunResult) -> str:
         return s
 
     lines = []
+    append = lines.append
+    last = last_from = object()  # the last time and growth start written, as ``at`` and ``start``
     for ev in result.event_log:
-        payload = ", ".join(f'"{k}": {text(x) if k in _TIMES else x}' for k, x in ev.payload.items())
-        lines.append(f'{{"t": {text(ev.t)}, "kind": "{ev.kind}", "payload": {{{payload}}}}}\n')
+        t, kind, payload = ev.t, ev.kind, ev.payload
+        if t is not last:
+            last, at = t, text(t)
+        if kind == GROW and tuple(payload) == _GROW_FIELDS:
+            begin, end = payload["from"], payload["to"]
+            if begin is not last_from:
+                last_from, start = begin, text(begin)
+            append(_GROW_LINE % (at, payload["set"], start, at if end is t else text(end)))
+            continue
+        form = _LINES.get(kind)
+        if form is not None and tuple(payload) == form[0]:
+            append(form[1] % (at, *payload.values()))
+        else:
+            fields = ", ".join(f'"{k}": {text(x) if k in _TIMES else x}' for k, x in payload.items())
+            append(f'{{"t": {at}, "kind": "{kind}", "payload": {{{fields}}}}}\n')
     return "".join(lines)
 
 
@@ -254,6 +313,9 @@ class GreedyDualEngine:
         # Distances over distinct positions only: requests often share them.
         grid = inst.grid  # shared and immutable: ``_rescale`` builds new lists
         self._scale, self._pid, self._dist, self._atime, self._sgn = grid.scale, grid.pid, grid.dist, grid.atime, grid.sgn
+        # How far a due time's slack lies below the least slack (see above): twice
+        # the tol of a bound on every budget, the largest distance plus the arrival span.
+        self._margin = 0 if self._exact or not n else 2 * tol(max(map(max, grid.dist)) + (max(grid.atime) - min(grid.atime)))
         self._zero = 0 if self._exact else 0.0  # scaled
         self._clock = self._zero  # self.clock in units of 1 / scale
         self.potential = [self._zero] * n  # accumulated dual value over sets containing u, scaled
@@ -266,6 +328,8 @@ class GreedyDualEngine:
         # The candidates (u, v, scaled budget), u < v, of each pair of active
         # sets a < b with an eligible pair between them.
         self._buckets: dict[tuple, list] = {}
+        # Twice the time each bucket with a growing set is due, scaled (see above).
+        self._due: dict[tuple, Scalar] = {}
         self._polarity: dict[int, list] = {}  # active set -> [neutral, positive, negative] members
         self.live_pairs = _LivePairs(self._polarity)
         if self_check:
@@ -300,6 +364,7 @@ class GreedyDualEngine:
         for rec in self.sets:
             rec.y *= k
         self._buckets = {key: [(u, v, c * k) for u, v, c in cands] for key, cands in self._buckets.items()}
+        self._due = {key: d * k for key, d in self._due.items()}
 
     # -- event location ---------------------------------------------------
 
@@ -330,17 +395,34 @@ class GreedyDualEngine:
 
     def _least_tight_key(self):
         """Least ``2 * slack / r`` over candidates with r >= 1 growing
-        endpoints: twice the time until the first one goes tight."""
-        pot, growing, two_over = self.potential, self.growing, _TWO_OVER
+        endpoints: twice the time until the first one goes tight.  A bucket
+        due later than twice the clock plus the least key has no smaller key.
+        The bucket due first has a key at most ``2 * margin`` above its due
+        time less twice the clock, plus rounding far below the margin, so the
+        search reads the buckets due by ``3 * margin`` after it, and then, if
+        the least key they give reaches further, the buckets due by there."""
+        due = self._due
+        if not due:
+            return None
+        reach = min(due.values()) + 3 * self._margin
+        best = self._least_key([key for key, d in due.items() if d <= reach])
+        last = 2 * self._clock + best
+        if last > reach:
+            more = [key for key, d in due.items() if reach < d <= last]
+            if more:
+                best = min(best, self._least_key(more))
+        return best
+
+    def _least_key(self, keys):
+        """Least ``2 * slack / r`` over the candidates of the buckets ``keys``."""
+        pot, growing, buckets = self.potential, self.growing, self._buckets
         best = None
-        for (a, b), cands in self._buckets.items():
-            r = (a in growing) + (b in growing)
-            if r:
-                f = two_over[r]
-                for u, v, cost in cands:
-                    key = (cost - pot[u] - pot[v]) * f
-                    if best is None or key < best:
-                        best = key
+        for a, b in keys:
+            f = _TWO_OVER[(a in growing) + (b in growing)]
+            for u, v, cost in buckets[a, b]:
+                key = (cost - pot[u] - pot[v]) * f
+                if best is None or key < best:
+                    best = key
         return best
 
     # -- state transitions ------------------------------------------------
@@ -401,10 +483,11 @@ class GreedyDualEngine:
                     e.append((v, u, c))
                 elif band_tol and s <= e[0] + 2 * band_tol(c):
                     e.append((v, u, c))
-        buckets = self._buckets
+        buckets, due, growing, margin, two_clock = self._buckets, self._due, self.growing, self._margin, 2 * self._clock
         for x in sets:
             e = found[x]
-            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol)
+            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol)[0]
+            due[x, sid] = two_clock + (e[0] - margin) * _TWO_OVER[1 + (x in growing)]  # the new set grows
         self._log(self.clock, ARRIVAL, {"u": u})
 
     def process_tight(self) -> None:
@@ -425,11 +508,15 @@ class GreedyDualEngine:
                 self._merge(u, v)
 
     def _tight_pairs(self) -> list:
-        """The candidates that are tight now, as (u, v)."""
-        pot, buckets = self.potential, self._buckets.values()
+        """The candidates that are tight now, as (u, v), of the buckets due
+        by now.  A bucket of two sets that do not grow has none: it was made
+        by a fold from candidates that were not tight, and its potentials
+        stay as they were."""
+        pot, buckets, now = self.potential, self._buckets, 2 * self._clock
+        due = [buckets[key] for key, d in self._due.items() if d <= now]
         if self._exact:
-            return [(u, v) for cands in buckets for u, v, cost in cands if pot[u] + pot[v] == cost]
-        return [(u, v) for cands in buckets for u, v, cost in cands if pot[u] + pot[v] >= cost - tol(cost)]
+            return [(u, v) for cands in due for u, v, cost in cands if pot[u] + pot[v] == cost]
+        return [(u, v) for cands in due for u, v, cost in cands if pot[u] + pot[v] >= cost - tol(cost)]
 
     def _merge(self, u: int, v: int) -> None:
         a = self.sets[self.assign[u]]
@@ -441,36 +528,53 @@ class GreedyDualEngine:
         sid = len(self.sets)
         members = a.members | b.members
         self._fold(a.set_id, b.set_id, sid)
-        neutral, positive, negative = self._polarity[sid]
-        rec = SetRecord(
-            set_id=sid, members=members, sur=neutral % 2 + abs(positive - negative), y=self._zero, free=a.free | b.free
-        )
+        rec = SetRecord(set_id=sid, members=members, sur=_surplus(self._polarity[sid]), y=self._zero, free=a.free | b.free)
         self.growing.discard(a.set_id)
         self.growing.discard(b.set_id)
+        if rec.sur > 0:  # a free request stays once it matches all it can
+            self.growing.add(sid)
         self.sets.append(rec)
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
-        if rec.free:
-            self.growing.add(sid)
         for w in members:
             self.assign[w] = sid
 
     def _fold(self, a: int, b: int, c: int) -> None:
         """Give the new set ``c`` the buckets of its children ``a`` < ``b``:
         {a, b} goes, and for each other active set x, {a, x} and {b, x}
-        (either may be missing) become {c, x}, the band of their union."""
-        buckets, polarity = self._buckets, self._polarity
+        (either may be missing) become {c, x}, the band of their union, due
+        at its new rate.  Whether ``c`` grows is read from its surplus, as
+        ``_merge`` reads it: ``c`` has not matched yet."""
+        buckets, due, polarity, growing = self._buckets, self._due, self._polarity, self.growing
         pa, pb = polarity.pop(a), polarity.pop(b)
         del buckets[a, b]  # the tight pair that merges a and b is one of its candidates
-        pot, band_tol = self.potential, self._band_tol
+        due.pop((a, b), None)
+        counts = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
+        grows = _surplus(counts) > 0
+        pot, band_tol, margin, two_clock = self.potential, self._band_tol, self._margin, 2 * self._clock
         for x in polarity:
-            ca = buckets.pop((x, a) if x < a else (a, x), None)
-            cb = buckets.pop((x, b) if x < b else (b, x), None)
-            cands = cb if ca is None else ca if cb is None else ca + cb
+            ka = (x, a) if x < a else (a, x)
+            kb = (x, b) if x < b else (b, x)
+            cands = buckets.pop(ka, None)
             if cands is not None:
-                buckets[x, c] = cands if len(cands) == 1 else _band(cands, pot, band_tol)
-        polarity[c] = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
+                due.pop(ka, None)
+            cb = buckets.pop(kb, None)
+            if cb is not None:
+                due.pop(kb, None)
+                cands = cb if cands is None else cands + cb
+            elif cands is None:
+                continue
+            r = grows + (x in growing)
+            if len(cands) > 1:
+                cands, least = _band(cands, pot, band_tol)
+            elif r:
+                u, v, cost = cands[0]
+                least = cost - pot[u] - pot[v]
+            buckets[x, c] = cands
+            if r:
+                due[x, c] = two_clock + (least - margin) * _TWO_OVER[r]
+        polarity[c] = counts
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -637,10 +741,29 @@ class GreedyDualEngine:
             if key[1] < old:
                 band = self._banded.get(key)
             else:
-                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol)}
+                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol)[0]}
             if banded[key] != band:
                 raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
         self._banded, self._banded_sets = banded, len(replay.sets)
+        # Exactly the buckets with a growing set must have a due time: in
+        # exact mode twice the time their least replayed slack closes, in
+        # float mode no later than twice the first time one of their
+        # candidates meets the tight test under the replayed potentials.
+        due, rpot, two_clock = self._due, replay.potential, 2 * replay.clock
+        if due.keys() != {key for key in buckets if key[0] in replayed or key[1] in replayed}:
+            raise EngineInvariantError("due-time: the buckets with a due time are not the buckets with a growing set")
+        for key, d in due.items():
+            f = _TWO_OVER[(key[0] in replayed) + (key[1] in replayed)]
+            if self._exact:
+                d = Fraction(d, self._scale)
+                at = two_clock + replay.external(f * min(c - rpot[u] - rpot[v] for u, v, c in cross[key]))
+                wrong = d != at
+            else:
+                cands = banded[key]
+                at = min(two_clock + (c - tol(c) - rpot[u] - rpot[v]) * f for u, v, c in cross[key] if (u, v) in cands)
+                wrong = d > at
+            if wrong:
+                raise EngineInvariantError(f"due-time: sets {key}: due at {d / 2}, replayed {at / 2}")
 
     def _breach(self):
         """Under self-check, the replay's stop-sweep verdict, asked when the run

@@ -2,11 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from math import nan
 
 import pytest
 
 from delaymatch import cli
+from delaymatch.certify import certify, certify_events
+from delaymatch.engine import events_from_jsonl, run
+from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import parse_instance
+from test_event_search import near_tie_instance
 
 CLI = [sys.executable, "-m", "delaymatch.cli"]
 
@@ -492,3 +498,67 @@ def test_in_process_calls_share_one_parser(capsys):
     assert capsys.readouterr().out == first
     assert cli.main(["gen", "tightness", "--m", "4", "--variant", "mbpmd"]) == 0
     assert json.loads(capsys.readouterr().out)["variant"] == "mbpmd"
+
+
+def reference_certificate_text(cert) -> str:
+    """The bytes ``certify`` must print for a valid certificate: its document
+    through ``json.dumps`` with the indent, which selects the pure-Python
+    encoder."""
+    return json.dumps(cert.to_json(), indent=2, allow_nan=False) + "\n"
+
+
+def _certificate_corpus():
+    """The acceptance corpus, both empty instances, the float near-tie
+    family (slacks printed with all their digits), and one instance of each
+    generator family the benchmark runs at its sizes."""
+    out = [near_tie_instance(seed) for seed in range(1000)]
+    for seed in range(168):
+        for kind in ("line", "matrix", "ring"):
+            variant = "mbpmd" if seed % 2 else "mpmd"
+            out.append(gen_random_instance(seed=seed, m=seed % 5 + 1, variant=variant, metric_kind=kind))
+    out += [gen_random_instance(seed=seed, m=seed % 4 + 1, metric_kind="euclidean") for seed in range(30)]
+    out.append(parse_instance({"variant": "mpmd", "mode": "exact", "metric": {"kind": "line"}, "requests": []}))
+    out.append(parse_instance({"variant": "mbpmd", "mode": "float", "metric": {"kind": "euclidean"}, "requests": []}))
+    out += [
+        gen_random_instance(seed=100, m=100, metric_kind="line"),
+        gen_tightness_instance(150),
+        gen_ring_instance(64),
+        gen_random_instance(seed=100, m=30, metric_kind="matrix", variant="mbpmd"),
+        gen_random_instance(seed=160, m=20, metric_kind="euclidean", variant="mbpmd"),
+        gen_random_instance(seed=100, m=100, metric_kind="euclidean"),
+    ]
+    return out
+
+
+def test_certificate_text_matches_the_reference_encoder():
+    """Each row written by hand, each exact slack printed once per value:
+    the bytes of the reference on every instance."""
+    for inst in _certificate_corpus():
+        cert = certify(inst, run(inst))
+        if not cert.ok:  # near-tie seed 28, one of ``TOTAL_BOUND_SEEDS``
+            assert cert.prop == "total-bound", inst
+            continue
+        assert cli._certificate_text(cert) == reference_certificate_text(cert), inst
+
+
+def test_certify_prints_the_certificate_text(tight4_file, tmp_path, capsys):
+    trace = tmp_path / "tight4.trace"
+    assert cli.main(["run", str(tight4_file), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert cli.main(["certify", str(tight4_file), str(trace)]) == 0
+    inst = cli._load_instance(str(tight4_file), None)
+    cert = certify_events(inst, events_from_jsonl(trace.read_text(), inst.mode))
+    assert capsys.readouterr().out == reference_certificate_text(cert)
+
+
+@pytest.mark.parametrize("field", ["slacks", "total_cost"])
+def test_a_non_finite_certificate_value_is_not_printed(field):
+    """As with the reference encoder, a NaN slack or cost raises ValueError
+    (which ``main`` reports with exit status 1)."""
+    inst = gen_random_instance(seed=1, m=3, metric_kind="euclidean")
+    cert = certify(inst, run(inst))
+    bad = replace(cert, slacks=((0, 1, nan),)) if field == "slacks" else replace(cert, total_cost=nan)
+    with pytest.raises(ValueError):
+        reference_certificate_text(bad)
+    with pytest.raises(ValueError):
+        cli._certificate_text(bad)

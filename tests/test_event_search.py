@@ -220,3 +220,40 @@ def test_folds_look_up_the_buckets_a_merge_may_miss():
         assert eng.unjoined == 0
         folds, misses = folds + eng.folds, misses + eng.misses
     assert 0 < misses < folds
+
+
+@pytest.mark.parametrize("variant", [MPMD, MBPMD])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_traces_at_benchmark_size_match_the_flat_scan(seed, variant):
+    """Euclidean m=100: hundreds of buckets whose float due times lie below
+    their keys, over about 400 steps."""
+    inst = gen_random_instance(seed=seed, m=100, metric_kind="euclidean", variant=variant)
+    assert events_to_jsonl(GreedyDualEngine(inst).run()) == events_to_jsonl(FlatScanEngine(inst).run())
+
+
+class KeySearchCounter(GreedyDualEngine):
+    """Counts the event searches, the buckets they read, and the candidates a
+    search of every bucket would read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.searches = self.read = self.candidates = 0
+
+    def _least_tight_key(self):
+        self.searches += 1
+        self.candidates += sum(map(len, self._buckets.values()))
+        return super()._least_tight_key()
+
+    def _least_key(self, keys):
+        keys = list(keys)
+        self.read += len(keys)
+        return super()._least_key(keys)
+
+
+def test_the_float_key_search_reads_about_one_bucket_per_step():
+    """Euclidean seed 1, m=100: a float due time lies below its bucket's key
+    by a margin far smaller than the gaps between buckets, so the search
+    reads the bucket due first and almost never another."""
+    eng = KeySearchCounter(gen_random_instance(seed=1, m=100, metric_kind="euclidean"))
+    eng.run()
+    assert (eng.searches, eng.read, eng.candidates) == (397, 394, 71337)

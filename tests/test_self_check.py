@@ -200,15 +200,16 @@ class OvershotTight(GreedyDualEngine):
 
 class HiddenPair(GreedyDualEngine):
     """Keeps the first candidate out of the event search and the tight scan,
-    so the engine lets it pass its budget."""
+    so the engine lets it pass its budget.  A bucket it leaves empty loses
+    its due time too."""
 
     hidden = None
 
     def _without_hidden(self, scan):
-        buckets = self._buckets
+        buckets, due = self._buckets, self._due
         if self.hidden is None and buckets:
             self.hidden = next(iter(buckets.values()))[0]
-        kept = dict(buckets)
+        kept, kept_due = dict(buckets), dict(due)
         for key, cands in kept.items():
             if self.hidden in cands:
                 rest = [p for p in cands if p != self.hidden]
@@ -216,17 +217,35 @@ class HiddenPair(GreedyDualEngine):
                     buckets[key] = rest
                 else:
                     del buckets[key]
+                    due.pop(key, None)
         try:
             return scan()
         finally:
             buckets.clear()
             buckets.update(kept)
+            due.clear()
+            due.update(kept_due)
 
     def _least_tight_key(self):
         return self._without_hidden(super()._least_tight_key)
 
     def _tight_pairs(self):
         return self._without_hidden(super()._tight_pairs)
+
+
+class LateDueTime(GreedyDualEngine):
+    """Once, after a tight scan, records the first bucket's due time one
+    scaled unit late."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._done = False
+
+    def process_tight(self):
+        super().process_tight()
+        if self._due and not self._done:
+            self._done = True
+            self._due[next(iter(self._due))] += 1
 
 
 class FoldKeepsLoser(GreedyDualEngine):
@@ -335,6 +354,15 @@ def test_self_check_catches_a_fold_that_keeps_the_losing_candidates():
             with pytest.raises(EngineInvariantError, match=not_band):
                 eng.run()
         assert eng.fired, i
+
+
+def test_self_check_names_a_late_due_time():
+    """A due time one scaled unit late changes no trace until its bucket is
+    due; the self-check names it at the step that wrote it."""
+    late = r"^due-time: sets \(\d+, \d+\): due at "
+    for inst in CORPUS:
+        with pytest.raises(EngineInvariantError, match=late):
+            LateDueTime(inst, self_check=True).run()
 
 
 @pytest.mark.parametrize(
