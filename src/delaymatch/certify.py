@@ -51,7 +51,9 @@ only if an event was applied since the last settle, so each instant is
 checked once.  Pair budgets come from ``Instance.grid`` (``Grid.cost``,
 ``Grid.pairs``), which the engine reads too but cannot change; the endgame
 sums ``metric.distance`` over the matched pairs, apart from the grid, and
-the cross-check compares the run's totals with that sum.
+the cross-check compares the run's totals with that sum.  The waiting cost
+is summed on the grid, from the match times and the arrival times each
+arrival event was checked against.
 
 In exact mode the replay computes on Python ints over a scale ``S``: an int
 ``x`` stands for ``x / S``.  The clock, the grid, potentials, frozen pair
@@ -82,16 +84,26 @@ reach ``cost - tol(cost)``.  ``_Replay.stop_sweep``, which ``certify`` and
 the self-check both call, holds this rule: if a pair fails, the reference
 replay (``per_event``) reruns exactly the input ``drive`` was handed, with a
 full sweep after every growth event and settle, and its report stands.
+
+``certify`` walks the pairs once.  After a clean ``drive``, one sweep over
+``Grid.pairs`` (``_Replay.sweep``) builds each pair's ``(u, v, slack)`` row
+of the certificate and tests the pair with the stop sweep's expression; if
+any pair is over budget, ``stop_sweep`` gives the verdict as above.  A
+``drive`` that reports a violation goes to ``stop_sweep`` with it.  The
+least slack is computed once per certificate, when first read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import itemgetter
 
 from .engine import ARRIVAL, GROW, MATCH, MERGE, TIGHT, EventRecord, RunResult
-from .instance import Instance, surplus
+from .instance import MPMD, Instance
 from .scalars import Scalar, dump_ratio, dump_scalar, eq, is_scalar, leq, tol
 
 GUARANTEE_SLOPE = 2  # total cost is bounded by (2m + 1) times the dual objective
@@ -130,9 +142,9 @@ class DualCertificate:
             return self.slacks
         return tuple((u, v, Fraction(s, scale)) for u, v, s in self.slacks)
 
-    @property
+    @cached_property
     def min_slack(self):
-        least = min((s for _, _, s in self.slacks), default=None)
+        least = min(map(itemgetter(2), self.slacks), default=None)
         return least if least is None or self.scale is None else Fraction(least, self.scale)
 
     def to_json(self) -> dict:
@@ -204,6 +216,7 @@ class _RSet:
     __slots__ = (
         "set_id",
         "members",
+        "pol",
         "sur",
         "y",
         "free",
@@ -211,9 +224,10 @@ class _RSet:
         "parent",
     )
 
-    def __init__(self, set_id, members, sur, free, clock, zero):
+    def __init__(self, set_id, members, pol, sur, free, clock, zero):
         self.set_id = set_id
         self.members = members
+        self.pol = pol  # the members' summed polarity
         self.sur = sur
         self.y = zero
         self.free = free
@@ -237,6 +251,7 @@ class _Replay:
         self.potential = [self.zero] * n
         self.assign = [None] * n
         self.sets: list[_RSet] = []
+        self.active = {}  # set id -> its record, for the active sets, in set-id order
         self.frozen = {}
         self.leaf = []  # request -> the singleton set its arrival created
         self.marked = []  # (u, v, the set created by the merge that marked it), in trace order
@@ -254,12 +269,14 @@ class _Replay:
         is off it.  A time that is not a scalar of the mode breaks the trace."""
         if not is_scalar(t, self.mode):
             self._fail("trace-shape", f"time {t!r} is not a scalar of {self.mode} mode", type=type(t).__name__)
-        if self.grid.scale is None:
+        scale = self.grid.scale
+        if scale is None:
             return t
         den = t.denominator
-        if self.grid.scale % den:
-            self._rescale(den // gcd(self.grid.scale, den))
-        return t.numerator * (self.grid.scale // den)
+        if scale % den:
+            self._rescale(den // gcd(scale, den))
+            scale = self.grid.scale
+        return t.numerator * (scale // den)
 
     def external(self, x):
         """The value a scaled ``x`` stands for."""
@@ -295,18 +312,20 @@ class _Replay:
     def feed(self, events):
         """Apply the events of the log ``events`` past the ones already
         applied; the log may have grown since the previous call."""
+        handlers, known = self._HANDLERS, self._FIELDS
         for i in range(self.applied, len(events)):
             self.index = i
             ev = events[i]
             if not (isinstance(ev, EventRecord) and isinstance(ev.payload, dict)):
                 self._fail("trace-shape", "event is not an EventRecord with an object payload", type=type(ev).__name__)
-            handler = self._HANDLERS.get(ev.kind) if isinstance(ev.kind, str) else None
+            kind = ev.kind
+            handler = handlers.get(kind) if isinstance(kind, str) else None
             if handler is None:
-                self._fail("trace-shape", f"unknown event kind {ev.kind!r}", kind=ev.kind)
-            if not ev.payload.keys() <= self._FIELDS[ev.kind]:
-                extra = sorted(map(str, ev.payload.keys() - self._FIELDS[ev.kind]))
-                self._fail("trace-shape", f"{ev.kind} event has unknown fields {extra}", fields=extra)
-            if ev.kind != MERGE and self.pending_tight is not None:
+                self._fail("trace-shape", f"unknown event kind {kind!r}", kind=kind)
+            if not ev.payload.keys() <= known[kind]:
+                extra = sorted(map(str, ev.payload.keys() - known[kind]))
+                self._fail("trace-shape", f"{kind} event has unknown fields {extra}", fields=extra)
+            if kind != MERGE and self.pending_tight is not None:
                 self._fail("trace-shape", "tight event not followed by its merge")
             handler(self, ev)
             self.applied = i + 1
@@ -336,7 +355,8 @@ class _Replay:
             self.clock, self._clock = t, scaled
 
     def _require_settled(self, t, kind):
-        if self.scaled(t) != self._clock:
+        # The time object the clock last moved to is at the clock.
+        if t is not self.clock and self.scaled(t) != self._clock:
             self._fail(
                 "trace-shape",
                 f"{kind} event at {dump_scalar(t, self.mode)} but clock is "
@@ -359,25 +379,28 @@ class _Replay:
         self._move_clock(ev.t, t)
         self.next_arrival += 1
         sid = len(self.sets)
-        self.sets.append(_RSet(sid, frozenset({u}), 1, {u}, self._clock, self.zero))
+        rec = _RSet(sid, frozenset({u}), self.grid.sgn[u], 1, {u}, self._clock, self.zero)
+        self.sets.append(rec)
+        self.active[sid] = rec
         self.assign[u] = sid
         self.leaf.append(sid)
 
     def _ev_grow(self, ev):
-        sid = ev.payload.get("set")
-        start = ev.payload.get("from")
-        end = ev.payload.get("to")
+        payload, at = ev.payload, ev.t
+        sid, start, end = payload.get("set"), payload.get("from"), payload.get("to")
         if type(sid) is not int or not 0 <= sid < len(self.sets):
             self._fail("trace-shape", "growth of unknown set", set=sid)
         rec = self.sets[sid]
         if start is None or end is None:
             self._fail("trace-shape", "growth interval missing an endpoint", set=sid)
-        scale = self.grid.scale
-        t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
+        scale, scaled = self.grid.scale, self.scaled
+        t = self._clock if at is self.clock else scaled(at)
+        a = scaled(start)
+        b = t if end is at else scaled(end)
         if self.grid.scale != scale:  # the scale grew under the first ones
-            t, a, b = self.scaled(ev.t), self.scaled(start), self.scaled(end)
+            t, a, b = scaled(at), scaled(start), scaled(end)
         if b != t:
-            self._fail("trace-shape", "growth interval must end at the event time", set=sid, to=end, at=ev.t)
+            self._fail("trace-shape", "growth interval must end at the event time", set=sid, to=end, at=at)
         if not a < b:
             self._fail("trace-shape", "empty growth interval", set=sid)
         if rec.parent is not None:
@@ -391,7 +414,8 @@ class _Replay:
                 f"expected {dump_scalar(self.external(rec.growth_end), self.mode)}",
                 set=sid,
             )
-        self._move_clock(ev.t, t)
+        if t != self._clock:
+            self._move_clock(at, t)
         delta = b - a
         rec.y += delta
         rec.growth_end = b
@@ -447,8 +471,11 @@ class _Replay:
                 a=a,
                 b=b,
             )
-        members = ra.members | rb.members
-        rec = _RSet(sid, members, surplus(self.inst, members), ra.free | rb.free, self._clock, self.zero)
+        # The children are disjoint: the new set's surplus is the parity of
+        # its size, or in the bipartite variant its absolute polarity.
+        members, pol = ra.members | rb.members, ra.pol + rb.pol
+        sur = len(members) % 2 if self.inst.variant == MPMD else abs(pol)
+        rec = _RSet(sid, members, pol, sur, ra.free | rb.free, self._clock, self.zero)
         sgn, potential, frozen = self.grid.sgn, self.potential, self.frozen
         for x in ra.members:
             partner = -sgn[x]
@@ -457,6 +484,8 @@ class _Replay:
                     frozen[(x, w) if x < w else (w, x)] = potential[x] + potential[w]
         ra.parent = rb.parent = sid
         self.sets.append(rec)
+        del self.active[a], self.active[b]
+        self.active[sid] = rec
         for w in members:
             self.assign[w] = sid
         self.marked.append((tu, tv, sid))
@@ -503,9 +532,9 @@ class _Replay:
             self._sweep_feasibility("exceeds its budget")
 
     def _check_surplus(self):
-        for rec in self.sets:
+        for rec in self.active.values():
             # ``sur`` is ``surplus`` of the set's members, which never change.
-            if rec.parent is None and len(rec.free) != rec.sur:
+            if len(rec.free) != rec.sur:
                 self._fail(
                     "surplus",
                     f"set {rec.set_id} has {len(rec.free)} free requests, surplus {rec.sur}",
@@ -517,9 +546,8 @@ class _Replay:
     def _check_potential(self):
         clock, atime, potential, mode = self._clock, self.grid.atime, self.potential, self.mode
         assign, sets = self.assign, self.sets
-        for u in range(self.next_arrival):
-            bound = clock - atime[u]
-            value = potential[u]
+        for u, value, arrived in zip(range(self.next_arrival), potential, atime):
+            bound = clock - arrived
             if value == bound or (value < bound and u not in sets[assign[u]].free):
                 continue
             if not leq(value, bound, mode):
@@ -595,15 +623,18 @@ class _Replay:
         unmatched = [u for u in range(n) if u in self.sets[self.assign[u]].free]
         if unmatched:
             self._fail("matching-validity", "run ended with unmatched requests", unmatched=unmatched)
-        reqs, distance = self.inst.requests, self.inst.metric.distance
-        connection = waiting = self.external(self.zero)
+        # The waiting cost is summed on the grid, whose arrival times the
+        # arrival events matched; the connection cost apart from it.
+        reqs, distance, atime, scaled = self.inst.requests, self.inst.metric.distance, self.grid.atime, self.scaled
+        connection, waiting = self.external(self.zero), self.zero
         for u, v, t in self.matching:
             connection += distance(reqs[u].pos, reqs[v].pos)
-            waiting += (t - reqs[u].atime) + (t - reqs[v].atime)
+            t = scaled(t)
+            waiting += (t - atime[u]) + (t - atime[v])
         dual = self.zero
         for rec in self.sets:
             dual += rec.sur * rec.y
-        self.connection, self.waiting, self.dual = connection, waiting, self.external(dual)
+        self.connection, self.waiting, self.dual = connection, self.external(waiting), self.external(dual)
         self._check_waiting_equals_dual()
         self._check_paths()
         self._check_total_bound()
@@ -622,6 +653,7 @@ class _Replay:
     def _check_paths(self):
         inst, marked, sets = self.inst, self.marked, self.sets
         dual, route = self.dual, self.router()
+        twice = 2 * dual
         for u, v, _ in self.matching:
             check = marked_path(inst, marked, sets, (u, v), route)
             if check is None:
@@ -642,7 +674,7 @@ class _Replay:
                     u=u,
                     v=v,
                 )
-            if not leq(check.distance, 2 * dual, self.mode):
+            if not leq(check.distance, twice, self.mode):
                 self._fail(
                     "path-bound",
                     f"pair ({u}, {v}): distance exceeds twice the dual objective",
@@ -710,23 +742,38 @@ class _Replay:
                 a, b = up[a], up[b]
                 left.append(a)
                 right.append(b)
-            crossings = {}
+            exits = []  # every set a path edge leaves, once per edge that leaves it
             for chain in (left, right):
                 for x in chain[:-1]:
                     top = up_set[x]
                     for end in (x, up[x]):
                         s = leaf[end]
                         while s != top:
-                            crossings[s] = crossings.get(s, 0) + 1
+                            exits.append(s)
                             s = parent[s]
-            return left + right[-2::-1], max(crossings.values(), default=0)
+            return left + right[-2::-1], max(Counter(exits).values(), default=0)
 
         return route
 
-    def slacks(self):
-        """Each eligible pair's scaled slack, (u, v, slack), sorted by pair."""
-        pair_value = self.pair_value
-        return tuple((u, v, c - pair_value(u, v)) for u, v, c in self.grid.pairs(len(self.inst.requests)))
+    def sweep(self):
+        """The one sweep of a clean ending: each eligible pair's scaled slack,
+        ``((u, v, slack), ...)`` sorted by pair, and whether a pair is over
+        budget by the rule of ``_first_over_budget``."""
+        potential, frozen, exact = self.potential, self.frozen.get, self.grid.scale is not None
+        over = False
+
+        def rows():  # into the tuple as they come, with no list beside it
+            nonlocal over
+            for u, v, c in self.grid.pairs(len(self.inst.requests)):
+                x = frozen((u, v))
+                if x is None:
+                    x = potential[u] + potential[v]
+                if x > c and (exact or x > c + tol(c)):
+                    over = True
+                yield u, v, c - x
+
+        slacks = tuple(rows())
+        return slacks, over
 
 
 def marked_path(inst, marked, sets, pair, route=None):
@@ -800,8 +847,11 @@ def marked_path_check(inst: Instance, result: RunResult, pair) -> PathCheck:
 
 def _certify(inst: Instance, events, result=None):
     replay = _Replay(inst)
-    report = replay.stop_sweep(replay.drive(events, True, result))
-    if report is not None:
+    report = replay.drive(events, True, result)
+    if report is not None:  # the stop-sweep verdict stands
+        return replay.stop_sweep(report)
+    slacks, over = replay.sweep()
+    if over and (report := replay.stop_sweep()) is not None:
         return report
     return DualCertificate(
         mode=inst.mode,
@@ -813,7 +863,7 @@ def _certify(inst: Instance, events, result=None):
         num_events=len(events),
         num_sets=len(replay.sets),
         num_marked_edges=len(replay.marked),
-        slacks=replay.slacks(),
+        slacks=slacks,
         scale=replay.grid.scale,
     )
 

@@ -57,16 +57,23 @@ def _emit(doc) -> None:
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _certificate_text(cert) -> str:
-    """``_json_text(cert.to_json())`` without the pure-Python encoder the
-    indent forces on every row: the scalar fields go through ``_json_text``,
-    then each ``edge_slacks`` row is written in the five lines the indent
-    gives it, with its slack's text from the C encoder, computed once per
-    distinct slack in exact mode.  A non-finite value raises ValueError."""
+_ROWS_PER_PIECE = 4096
+
+
+def _certificate_pieces(cert):
+    """``_json_text(cert.to_json())`` in pieces of at most
+    ``_ROWS_PER_PIECE`` rows, so the whole text is never held, without the
+    pure-Python encoder the indent forces on every row: the scalar fields go
+    through ``_json_text``, then each ``edge_slacks`` row is written in the
+    five lines the indent gives it, with its slack's text from the C
+    encoder, computed once per distinct slack in exact mode.  Every text is
+    computed before the first piece is yielded, so a non-finite value raises
+    ValueError before anything is written."""
     head = _json_text({**cert.scalar_fields(), "edge_slacks": []})
     slacks, scale = cert.slacks, cert.scale
     if not slacks:
-        return head
+        yield head
+        return
     if scale is None:
         texts = [_encode(dump_scalar(s, cert.mode)) for _, _, s in slacks]
     else:
@@ -76,8 +83,18 @@ def _certificate_text(cert) -> str:
             if text is None:
                 text = printed[s] = _encode(dump_ratio(s, scale))
             texts.append(text)
-    rows = ",\n".join(f"    [\n      {u},\n      {v},\n      {text}\n    ]" for (u, v, _), text in zip(slacks, texts))
-    return head.removesuffix("[]\n}\n") + f"[\n{rows}\n  ]\n}}\n"
+    yield head.removesuffix("[]\n}\n") + "[\n"
+    for i in range(0, len(slacks), _ROWS_PER_PIECE):
+        piece = zip(slacks[i : i + _ROWS_PER_PIECE], texts[i : i + _ROWS_PER_PIECE])
+        rows = ",\n".join(f"    [\n      {u},\n      {v},\n      {text}\n    ]" for (u, v, _), text in piece)
+        if i:
+            yield ",\n"
+        yield rows
+    yield "\n  ]\n}\n"
+
+
+def _certificate_text(cert) -> str:
+    return "".join(_certificate_pieces(cert))
 
 
 def _read_text(path: str) -> str:
@@ -231,7 +248,7 @@ def _cmd_certify(args) -> int:
         if mismatch:
             _emit({"ok": False, "property": "summary-consistency", "mismatch": mismatch})
             return 2
-    sys.stdout.write(_certificate_text(cert))
+    sys.stdout.writelines(_certificate_pieces(cert))
     return 0
 
 

@@ -68,6 +68,7 @@ sets that grow.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -92,18 +93,21 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     return positive * negative + neutral * (neutral - 1) // 2
 
 
-def _band(cands: list, pot: list, band_tol) -> tuple:
+def _band(cands: list, pot: list, band_tol, margin) -> tuple:
     """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
     potentials ``pot`` is at most the least slack plus twice their own
     ``band_tol`` (``scalars.tol``, or None in exact mode, for a band of 0),
-    and that least slack."""
+    and that least slack.  ``margin`` is at least twice the tol of every
+    budget (the engine's ``_margin``), so a slack above the least plus
+    ``margin`` is outside the band without a ``band_tol`` call."""
     slacks = [c - pot[u] - pot[v] for u, v, c in cands]
     least = min(slacks)
     if slacks.count(least) == len(slacks):  # all tied: nothing to trim
         return cands, least
     if band_tol is None:
         return [p for p, s in zip(cands, slacks) if s == least], least
-    return [p for p, s in zip(cands, slacks) if s <= least + 2 * band_tol(p[2])], least
+    edge = least + margin
+    return [p for p, s in zip(cands, slacks) if s <= edge and s <= least + 2 * band_tol(p[2])], least
 
 
 def _surplus(counts: list) -> int:
@@ -253,16 +257,89 @@ def events_to_jsonl(result: RunResult) -> str:
     return "".join(lines)
 
 
+def _line_pattern():
+    """One pattern for the lines ``events_to_jsonl`` writes from its forms,
+    and, by the index of the last group it fills, each kind and its fields.
+    A time is a JSON number or a string with no escape; an index is a JSON
+    int."""
+    time = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|"[^"\\\x00-\x1f]*")'
+    index = r"(-?(?:0|[1-9][0-9]*))"
+    ends, alternatives, kinds = set(), [], {}
+    last = 1  # group 1 is the line's time; the fields of a kind follow in theirs
+    for kind, (fields, line) in {**_LINES, GROW: (_GROW_FIELDS, _GROW_LINE)}.items():
+        # The text before the time, then the text after the time and after each field.
+        head, *after = line.removesuffix("\n").split("%s")
+        ends.add((head, after[-1]))
+        values = (time if k in _TIMES else index for k in fields)
+        between = after[1:-1] + [""]  # the tail follows the last field
+        alternatives.append(re.escape(after[0]) + "".join(v + re.escape(text) for v, text in zip(values, between)))
+        kinds[last + len(fields)] = (kind, fields, last)
+        last += len(fields)
+    ((head, tail),) = ends  # every form shares them
+    return re.compile(f"{re.escape(head)}{time}(?:{'|'.join(alternatives)}){re.escape(tail)}"), kinds
+
+
+_LINE_PATTERN, _LINE_KINDS = _line_pattern()
+
+
+def _token_value(token: str):
+    """The JSON value of a time token of ``_LINE_PATTERN``, as ``json`` reads it."""
+    if token[0] == '"':
+        return token[1:-1]
+    return float(token) if "." in token or "e" in token or "E" in token else int(token)
+
+
+class _Tokens(dict):
+    """Time token of ``_LINE_PATTERN`` -> its time in ``mode``, parsed on first use."""
+
+    def __init__(self, mode: str):
+        super().__init__()
+        self.mode = mode
+
+    def __missing__(self, token: str):
+        t = self[token] = parse_scalar(_token_value(token), self.mode)
+        return t
+
+
+def _decode_line(line: str, time) -> EventRecord:
+    """The record of one trace line read as JSON, with each time read by
+    ``time`` from its JSON value: the general path of ``events_from_jsonl``."""
+    doc = decode_json(line)
+    if not isinstance(doc, dict):
+        raise ValueError(f"line must be an object, got {type(doc).__name__}")
+    if doc.keys() != _LINE:
+        missing = [k for k in _LINE if k not in doc]
+        raise ValueError(f"missing field {missing[0]!r}" if missing else f"unknown fields {sorted(doc.keys() - _LINE)}")
+    raw, kind = doc["payload"], doc["kind"]
+    if not isinstance(raw, dict):
+        raise ValueError(f"payload must be an object, got {type(raw).__name__}")
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {type(kind).__name__}")
+    payload = {k: (time(v) if k in _TIMES else v) for k, v in raw.items()}
+    return EventRecord(t=time(doc["t"]), kind=kind, payload=payload)
+
+
 def events_from_jsonl(text: str, mode: str):
     """Parse a trace back into EventRecords (for post-hoc verification).
     A line must be an object with exactly the fields ``t``, ``kind`` and
     ``payload``, and no object in it may repeat a key, else ValueError names
-    the line.  Each distinct time string is parsed once per trace."""
+    the line.
+
+    A line in the writer's own form (``_LINE_PATTERN``: one of the five
+    kinds, the engine's fields in the engine's order, each index a JSON int,
+    each time a JSON number or a string with no escape, the writer's spacing)
+    is read from its tokens, each time token parsed once per trace and keyed
+    by its text, so ``-0.0`` and ``0.0`` stay distinct.  Any other line, and
+    a matched line whose values fail to parse, takes the general path
+    (``_decode_line``): ``json`` reads it, and a "p/q" string or an int time
+    is parsed once per trace, kept by value.  Both paths give the same
+    records, and every refusal comes from the general path."""
     events, times = [], {}
+    append, match, kinds = events.append, _LINE_PATTERN.fullmatch, _LINE_KINDS
 
     def time(raw):
-        # A "p/q" string or an int is kept by value; any other JSON value is
-        # parsed each time, as equal keys would merge 0.0 with -0.0 and true with 1.
+        # Any JSON value other than a string or an int is parsed each time, as
+        # equal keys would merge 0.0 with -0.0 and true with 1.
         if type(raw) is not str and type(raw) is not int:
             return parse_scalar(raw, mode)
         t = times.get(raw)
@@ -270,23 +347,27 @@ def events_from_jsonl(text: str, mode: str):
             t = times[raw] = parse_scalar(raw, mode)
         return t
 
+    tokens = _Tokens(mode)
     for lineno, line in enumerate(text.splitlines(), 1):
+        m = match(line)
+        if m is not None:
+            last = m.lastindex
+            kind, fields, first = kinds[last]
+            g = m.groups()
+            try:
+                if kind == GROW:
+                    sid, start, end = g[first:last]
+                    payload = {"set": int(sid), "from": tokens[start], "to": tokens[end]}
+                else:
+                    payload = dict(zip(fields, map(int, g[first:last])))
+                append(EventRecord(tokens[g[0]], kind, payload))
+                continue
+            except (TypeError, ValueError):
+                pass  # the general path reads the line and names the failure
         if not line.strip():
             continue
         try:
-            doc = decode_json(line)
-            if not isinstance(doc, dict):
-                raise ValueError(f"line must be an object, got {type(doc).__name__}")
-            if doc.keys() != _LINE:
-                missing = [k for k in _LINE if k not in doc]
-                raise ValueError(f"missing field {missing[0]!r}" if missing else f"unknown fields {sorted(doc.keys() - _LINE)}")
-            raw, kind = doc["payload"], doc["kind"]
-            if not isinstance(raw, dict):
-                raise ValueError(f"payload must be an object, got {type(raw).__name__}")
-            if not isinstance(kind, str):
-                raise ValueError(f"kind must be a string, got {type(kind).__name__}")
-            payload = {k: (time(v) if k in _TIMES else v) for k, v in raw.items()}
-            events.append(EventRecord(t=time(doc["t"]), kind=kind, payload=payload))
+            append(_decode_line(line, time))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"trace line {lineno}: {exc}") from None
     return events
@@ -465,8 +546,9 @@ class GreedyDualEngine:
         # Every earlier request sits in another active set: all pairs cross.
         # One pass groups them by set, keeping the pairs within the band of
         # the least slack so far; the band of the final least trims the rest.
+        # The margin is at least any band, so a slack past it needs no tol call.
         row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
-        pot, band_tol, au, partner = self.potential, self._band_tol, atime[u], -sgn[u]
+        pot, band_tol, margin, au, partner = self.potential, self._band_tol, self._margin, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
         sets = []  # the sets in ``found``, as first found
         for v in range(u):
@@ -481,12 +563,12 @@ class GreedyDualEngine:
                 elif s <= e[0]:
                     e[0] = s
                     e.append((v, u, c))
-                elif band_tol and s <= e[0] + 2 * band_tol(c):
+                elif band_tol and s <= e[0] + margin and s <= e[0] + 2 * band_tol(c):
                     e.append((v, u, c))
-        buckets, due, growing, margin, two_clock = self._buckets, self._due, self.growing, self._margin, 2 * self._clock
+        buckets, due, growing, two_clock = self._buckets, self._due, self.growing, 2 * self._clock
         for x in sets:
             e = found[x]
-            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol)[0]
+            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol, margin)[0]
             due[x, sid] = two_clock + (e[0] - margin) * _TWO_OVER[1 + (x in growing)]  # the new set grows
         self._log(self.clock, ARRIVAL, {"u": u})
 
@@ -567,7 +649,7 @@ class GreedyDualEngine:
                 continue
             r = grows + (x in growing)
             if len(cands) > 1:
-                cands, least = _band(cands, pot, band_tol)
+                cands, least = _band(cands, pot, band_tol, margin)
             elif r:
                 u, v, cost = cands[0]
                 least = cost - pot[u] - pot[v]
@@ -741,7 +823,7 @@ class GreedyDualEngine:
             if key[1] < old:
                 band = self._banded.get(key)
             else:
-                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol)[0]}
+                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol, self._margin)[0]}
             if banded[key] != band:
                 raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
         self._banded, self._banded_sets = banded, len(replay.sets)

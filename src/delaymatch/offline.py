@@ -5,7 +5,8 @@ is dist + |arrival gap| -- exactly the constraint budget.  Two routes: an
 exhaustive search over perfect matchings (any variant, up to 12 requests) and
 an assignment solver for the bipartite variant (any size, exact arithmetic).
 
-Both solvers read the pair costs from ``Instance.grid`` (``Grid.cost``): in
+Both solvers read the pair costs from ``Instance.grid`` (``Grid.cost``, read
+once per pair into a table before the exhaustive search starts): in
 exact mode ints, every budget times the grid's scale ``S`` (the lcm of the
 denominators of the arrival times and of the metric's inputs), built on ints
 from the first distance, with the optimum returned as ``Fraction(total, S)``
@@ -57,6 +58,8 @@ def opt_brute(inst: Instance) -> OptSolution:
             f"{n} requests exceed the brute-force limit of {BRUTE_LIMIT}; {hint}"
         )
     grid = inst.grid
+    # Each pair's budget, None where the pair is not eligible.
+    table = [[grid.cost(u, v) if inst.eligible(u, v) else None for v in range(n)] for u in range(n)]
 
     best_pairs = None
     best_value = None
@@ -70,11 +73,13 @@ def opt_brute(inst: Instance) -> OptSolution:
             return
         u = unmatched[0]
         rest = unmatched[1:]
+        row = table[u]
         for i, v in enumerate(rest):
-            if not inst.eligible(u, v):
+            cost = row[v]
+            if cost is None:
                 continue
             chosen.append((u, v))
-            search(rest[:i] + rest[i + 1 :], chosen, acc + grid.cost(u, v))
+            search(rest[:i] + rest[i + 1 :], chosen, acc + cost)
             chosen.pop()
 
     search(tuple(range(n)), [], 0)

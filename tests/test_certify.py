@@ -5,8 +5,10 @@ from fractions import Fraction
 from math import inf, nan, nextafter
 
 import pytest
+from hypothesis import given
 
 from delaymatch.certify import (
+    DualCertificate,
     _Replay,
     certify,
     certify_events,
@@ -30,6 +32,8 @@ from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_ti
 from delaymatch.instance import MBPMD, MPMD, edge_cost, make_instance
 from delaymatch.offline import opt_brute
 from delaymatch.scalars import EXACT, FLOAT, dump_scalar, eq, leq, tol
+from test_event_search import TOTAL_BOUND_SEEDS, near_tie_instance
+from test_properties import SETTINGS, instances
 
 LINE = {"kind": "line"}
 
@@ -712,6 +716,82 @@ def test_frozen_value_is_the_potentials_less_twice_the_shared_growth(inst):
             assert x == derived, (u, v)
         else:
             assert eq(x, derived, FLOAT), (u, v, x, derived)
+
+
+def _two_pass(inst, events):
+    """The verdict of two sweeps: the stop sweep where the replay stopped,
+    then each pair's slack read through ``pair_value``, with the waiting cost
+    summed over the requests' own arrival times."""
+    replay = _Replay(inst)
+    report = replay.stop_sweep(replay.drive(events, True))
+    if report is not None:
+        return report
+    n, reqs = len(inst.requests), inst.requests
+    waiting = sum(((t - reqs[u].atime) + (t - reqs[v].atime) for u, v, t in replay.matching), replay.external(replay.zero))
+    return DualCertificate(
+        mode=inst.mode,
+        m=inst.m,
+        connection_cost=replay.connection,
+        waiting_cost=waiting,
+        total_cost=replay.connection + waiting,
+        dual_objective=replay.dual,
+        num_events=len(events),
+        num_sets=len(replay.sets),
+        num_marked_edges=len(replay.marked),
+        slacks=tuple((u, v, c - replay.pair_value(u, v)) for u, v, c in replay.grid.pairs(n)),
+        scale=replay.grid.scale,
+    )
+
+
+def _assert_one_sweep_is_two(inst, events):
+    verdict = certify_events(inst, events)
+    assert verdict == _two_pass(inst, events)
+    if verdict.ok:
+        assert verdict.min_slack == min((s for *_, s in verdict.edge_slacks), default=None)
+    return verdict
+
+
+def test_one_sweep_certifies_the_float_near_ties_as_two_sweeps():
+    """The rows and the over-budget test of one sweep give the certificate,
+    or the report, of the stop sweep followed by a second pass for the rows;
+    the near-tie runs known to end with ``total-bound`` keep that verdict."""
+    for seed in (*range(1000), *TOTAL_BOUND_SEEDS):
+        inst = near_tie_instance(seed)
+        verdict = _assert_one_sweep_is_two(inst, list(run(inst).event_log))
+        assert verdict.ok != (seed in TOTAL_BOUND_SEEDS), seed
+        assert verdict.ok or verdict.prop == "total-bound"
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_one_sweep_sends_a_pair_over_budget_to_the_stop_sweep(mode):
+    """A trace that passes every other check, with two pairs over budget:
+    requests 0 and 1 grow to 2 each and go tight, 2 and 3 match at once.
+    Certified against 2 and 3 at distance 1 from request 0, pairs (0, 2) and
+    (0, 3) end at value 2 over budget 1, and the per-event reference names
+    the growth event that made them so."""
+    far = [(0, 0, 0), (4, 0, 0), (-100, 0, 0), (-100, 0, 0)]
+    near = far[:2] + [(1, 0, 0), (1, 0, 0)]
+    events = list(run(make_instance(MPMD, LINE, far, mode=mode)).event_log)
+    verdict = _assert_one_sweep_is_two(make_instance(MPMD, LINE, near, mode=mode), events)
+    grow = next(i for i, e in enumerate(events) if e.kind == GROW and e.payload["set"] == 0)
+    assert (verdict.prop, verdict.event_index) == ("dual-feasibility", grow)
+    assert verdict.detail == "pair (0, 2) over budget after growth of set 0"
+
+
+@SETTINGS
+@given(instances())
+def test_one_sweep_certifies_exact_runs_as_two_sweeps(inst):
+    _assert_one_sweep_is_two(inst, list(run(inst).event_log))
+
+
+def test_one_sweep_certifies_the_differential_corpus_as_two_sweeps(differential):
+    """Clean and tampered traces alike, and on every clean trace the
+    per-event reference finds no breach either."""
+    traces, verdicts = differential
+    for (inst, events), verdict in zip(traces, verdicts):
+        assert _two_pass(inst, events).to_json() == verdict
+        if verdict["ok"]:
+            assert _Replay(inst, per_event=True).drive(events, True) is None
 
 
 def test_stop_sweep_verdicts_match_the_per_event_reference(differential, monkeypatch):

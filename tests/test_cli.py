@@ -551,6 +551,29 @@ def test_certify_prints_the_certificate_text(tight4_file, tmp_path, capsys):
     assert capsys.readouterr().out == reference_certificate_text(cert)
 
 
+def test_certify_writes_a_long_certificate_in_pieces(tmp_path, capsys):
+    """More rows than one piece holds: the pieces ``certify`` writes one
+    after another are the reference's bytes."""
+    path, trace = tmp_path / "tight70.json", tmp_path / "tight70.trace"
+    assert cli.main(["gen", "tightness", "--m", "70", "-o", str(path)]) == 0
+    assert cli.main(["run", str(path), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert cli.main(["certify", str(path), str(trace)]) == 0
+    inst = cli._load_instance(str(path), None)
+    cert = certify_events(inst, events_from_jsonl(trace.read_text(), inst.mode))
+    assert len(cert.slacks) > 2 * cli._ROWS_PER_PIECE
+    assert capsys.readouterr().out == reference_certificate_text(cert)
+
+
+def test_a_non_finite_slack_raises_before_the_first_piece():
+    """Every slack's text is computed before ``certify`` writes a byte."""
+    inst = gen_random_instance(seed=1, m=3, metric_kind="euclidean")
+    cert = certify(inst, run(inst))
+    bad = replace(cert, slacks=(*cert.slacks, (0, 1, nan)))
+    with pytest.raises(ValueError):
+        next(cli._certificate_pieces(bad))
+
+
 @pytest.mark.parametrize("field", ["slacks", "total_cost"])
 def test_a_non_finite_certificate_value_is_not_printed(field):
     """As with the reference encoder, a NaN slack or cost raises ValueError

@@ -1,11 +1,15 @@
+import importlib.util
 import json
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import inf, nan
+from math import copysign, inf, nan
+from pathlib import Path
 
 import pytest
 
-from delaymatch import engine
+from delaymatch import engine, generators
 from delaymatch.engine import (
     ARRIVAL,
     GROW,
@@ -13,6 +17,7 @@ from delaymatch.engine import (
     MERGE,
     TIGHT,
     EngineInvariantError,
+    EventRecord,
     GreedyDualEngine,
     events_from_jsonl,
     events_to_jsonl,
@@ -265,6 +270,127 @@ def test_a_bad_time_string_is_named_at_its_first_line():
         lines[i] = json.dumps(doc) + "\n"
     with pytest.raises(ValueError, match=r"^trace line 3: bad rational literal '1/0'"):
         events_from_jsonl("".join(lines), "exact")
+
+
+def _general_path(text, mode, monkeypatch):
+    """``events_from_jsonl`` with every line on the general path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_LINE_PATTERN", re.compile("(?!)"))
+        return events_from_jsonl(text, mode)
+
+
+def _typed(events):
+    """Each record with the type of every value it holds."""
+    return [(ev.t, type(ev.t), ev.kind, [(k, x, type(x)) for k, x in ev.payload.items()]) for ev in events]
+
+
+def _reader_corpus(name):
+    """The runs of a named corpus: the golden cases, the acceptance corpus,
+    or the three benchmark workloads at one seed."""
+    if name == "golden":
+        from test_golden_traces import CASES
+
+        return [thunk() for thunk in CASES.values()]
+    if name == "acceptance":
+        insts = [
+            gen_random_instance(seed=seed, m=seed % 5 + 1, variant=MBPMD if seed % 2 else MPMD, metric_kind=kind)
+            for seed in range(168)
+            for kind in ("line", "matrix", "ring")
+        ]
+        insts += [gen_random_instance(seed=seed, m=seed % 4 + 1, metric_kind="euclidean") for seed in range(30)]
+        return [run(inst) for inst in insts]
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)  # its dataclass looks itself up in sys.modules
+    seed = int(name.removeprefix("perfbench-"))
+    return [run(corpus.build(s, generators)) for w in corpus.WORKLOADS for s in corpus.corpus(w, seed)]
+
+
+@pytest.mark.parametrize("name", ["golden", "acceptance", "perfbench-1", "perfbench-2"])
+def test_the_pattern_path_reads_what_the_general_path_reads(name, monkeypatch):
+    """Every line the writer writes matches the writer's own forms, and reads
+    as the general path reads it: equal records whose values have equal types."""
+    decoded, decode = [], engine._decode_line
+    monkeypatch.setattr(engine, "_decode_line", lambda line, time: (decoded.append(line), decode(line, time))[1])
+    for result in _reader_corpus(name):
+        text = events_to_jsonl(result)
+        fast = events_from_jsonl(text, result.mode)
+        assert decoded == []  # no line fell back
+        general = _general_path(text, result.mode, monkeypatch)
+        assert len(decoded) == len(result.event_log)
+        decoded.clear()
+        assert _typed(fast) == _typed(general)
+        assert fast == list(result.event_log)
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ('{"t": 5, "t": 0, "kind": "arrival", "payload": {"u": 0}}', "trace line 1: repeated key 't'"),
+        ('{"kind": "arrival", "t": 0, "payload": {"u": 0}}', (ARRIVAL, {"u": 0})),
+        ('{"t": 0, "kind": "tight", "payload": {"v": 1, "u": 0}}', (TIGHT, {"v": 1, "u": 0})),
+        ('{"t":0,"kind":"arrival","payload":{"u":0}}', (ARRIVAL, {"u": 0})),
+        (' {"t": 0, "kind": "arrival", "payload": {"u": 0}}', (ARRIVAL, {"u": 0})),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 0}} ', (ARRIVAL, {"u": 0})),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": true}}', (ARRIVAL, {"u": True})),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 1.0}}', (ARRIVAL, {"u": 1.0})),
+        ('{"t": 01, "kind": "arrival", "payload": {"u": 0}}', "trace line 1: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 01}}', "trace line 1: Expecting ',' delimiter: line 1 column 47 (char 46)"),
+        ('{"t": "1\\/2", "kind": "arrival", "payload": {"u": 0}}', (ARRIVAL, {"u": 0}, Fraction(1, 2))),
+        ('{"t": 0, "kind": "jump", "payload": {"u": 0}}', ("jump", {"u": 0})),
+        ('{"t": 0, "kind": "arrival", "payload": {"u": 0, "junk": 7}}', (ARRIVAL, {"u": 0, "junk": 7})),
+    ],
+    ids=[
+        "two-t",
+        "reordered",
+        "reordered-payload",
+        "compact",
+        "leading-space",
+        "trailing-space",
+        "u-true",
+        "u-float",
+        "leading-zero-t",
+        "leading-zero-u",
+        "escaped-time",
+        "unknown-kind",
+        "extra-field",
+    ],
+)
+def test_lines_outside_the_writers_forms_take_the_general_path(line, expected, monkeypatch):
+    """A line the pattern does not match is read by ``json``, with its
+    result or its refusal as before."""
+    assert engine._LINE_PATTERN.fullmatch(line) is None
+    if isinstance(expected, str):
+        for read in (events_from_jsonl, lambda text, mode: _general_path(text, mode, monkeypatch)):
+            with pytest.raises(ValueError) as info:
+                read(line + "\n", "exact")
+            assert str(info.value) == expected
+        return
+    kind, payload, t = (*expected, Fraction(0))[:3]
+    events = events_from_jsonl(line + "\n", "exact")
+    assert _typed(events) == _typed([EventRecord(t, kind, payload)])
+    assert _typed(events) == _typed(_general_path(line + "\n", "exact", monkeypatch))
+
+
+def test_time_tokens_are_read_by_their_text(monkeypatch):
+    """``-0.0`` and ``0.0`` read as distinct floats; a token out of the
+    mode is refused with the general path's message and line number."""
+    first = '{"t": 0, "kind": "arrival", "payload": {"u": 0}}\n'
+    zeros = '{"t": 0.0, "kind": "arrival", "payload": {"u": 0}}\n{"t": -0.0, "kind": "arrival", "payload": {"u": 1}}\n'
+    assert all(engine._LINE_PATTERN.fullmatch(line) for line in zeros.splitlines())
+    for read in (events_from_jsonl, lambda text, mode: _general_path(text, mode, monkeypatch)):
+        signs = [copysign(1.0, ev.t) for ev in read(zeros, FLOAT)]
+        assert signs == [1.0, -1.0]
+    refused = [
+        (FLOAT, '{"t": 1e400, "kind": "arrival", "payload": {"u": 1}}', "float mode requires a finite JSON number, got inf"),
+        ("exact", '{"t": 0.5, "kind": "arrival", "payload": {"u": 1}}', "exact mode requires an integer or 'p/q' string, got 0.5"),
+    ]
+    for mode, line, error in refused:
+        assert engine._LINE_PATTERN.fullmatch(line)
+        with pytest.raises(ValueError) as info:
+            events_from_jsonl(first + line + "\n", mode)
+        assert str(info.value) == f"trace line 2: {error}"
 
 
 def test_marked_edges_one_per_merge():
