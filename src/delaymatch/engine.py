@@ -38,6 +38,16 @@ merge of A and B into C drops {A, B} and, for each other active set X, looks
 up {A, X} and {B, X} (either may be missing) and folds them into {C, X}, which
 keeps the band of their union.
 
+In exact mode every candidate of a bucket has the bucket's least slack for
+the bucket's whole life.  A bucket is born holding only ties: an arrival
+keeps the pairs tied at the least slack so far, and a fold keeps ties (see
+below).  All its pairs then lose slack at one rate, and a rescale multiplies
+every slack by one factor, so ties stay ties.  Hence one head candidate
+gives a bucket's least slack, and the fold reads only the heads of {A, X}
+and {B, X}: {C, X} is the list with the smaller head slack, or both lists,
+A's first, on a tie.  No exact step ranks candidates by slack; float mode
+keeps ranking them (``_band``) at each arrival and fold.
+
 A set's growth flag never changes while it is active, so a bucket's rate
 ``r`` (its growing sets) is fixed for its life, and so is the time its least
 slack closes.  ``_due`` holds, for every bucket with ``r >= 1``, twice that
@@ -96,7 +106,8 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
 def _band(cands: list, pot: list, band_tol, margin) -> tuple:
     """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
     potentials ``pot`` is at most the least slack plus twice their own
-    ``band_tol`` (``scalars.tol``, or None in exact mode, for a band of 0),
+    ``band_tol`` (``scalars.tol``, or None for a band of 0, as the
+    self-check's exact bands),
     and that least slack.  ``margin`` is at least twice the tol of every
     budget (the engine's ``_margin``), so a slack above the least plus
     ``margin`` is outside the band without a ``band_tol`` call."""
@@ -544,31 +555,49 @@ class GreedyDualEngine:
         self._polarity[sid] = counts = [0, 0, 0]
         counts[sgn[u]] = 1
         # Every earlier request sits in another active set: all pairs cross.
-        # One pass groups them by set, keeping the pairs within the band of
-        # the least slack so far; the band of the final least trims the rest.
-        # The margin is at least any band, so a slack past it needs no tol call.
+        # One pass groups them by set.  Exact mode keeps the pairs tied at the
+        # least slack so far, which leaves the ties at the final least.  Float
+        # mode keeps the pairs within the band of the least slack so far, and
+        # the band of the final least trims the rest; the margin is at least
+        # any band, so a slack past it needs no tol call.
         row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
         pot, band_tol, margin, au, partner = self.potential, self._band_tol, self._margin, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
         sets = []  # the sets in ``found``, as first found
-        for v in range(u):
-            if sgn[v] == partner:
-                c = row[pid[v]] + (au - atime[v])
-                s = c - pot[v]  # u's potential is 0
-                x = assign[v]
-                e = found[x]
-                if e is None:
-                    found[x] = [s, (v, u, c)]
-                    sets.append(x)
-                elif s <= e[0]:
-                    e[0] = s
-                    e.append((v, u, c))
-                elif band_tol and s <= e[0] + margin and s <= e[0] + 2 * band_tol(c):
-                    e.append((v, u, c))
+        exact = self._exact
+        if exact:
+            for v in range(u):
+                if sgn[v] == partner:
+                    c = row[pid[v]] + (au - atime[v])
+                    s = c - pot[v]  # u's potential is 0
+                    x = assign[v]
+                    e = found[x]
+                    if e is None:
+                        found[x] = [s, (v, u, c)]
+                        sets.append(x)
+                    elif s < e[0]:
+                        found[x] = [s, (v, u, c)]
+                    elif s == e[0]:
+                        e.append((v, u, c))
+        else:
+            for v in range(u):
+                if sgn[v] == partner:
+                    c = row[pid[v]] + (au - atime[v])
+                    s = c - pot[v]
+                    x = assign[v]
+                    e = found[x]
+                    if e is None:
+                        found[x] = [s, (v, u, c)]
+                        sets.append(x)
+                    elif s <= e[0]:
+                        e[0] = s
+                        e.append((v, u, c))
+                    elif band_tol and s <= e[0] + margin and s <= e[0] + 2 * band_tol(c):
+                        e.append((v, u, c))
         buckets, due, growing, two_clock = self._buckets, self._due, self.growing, 2 * self._clock
         for x in sets:
             e = found[x]
-            buckets[x, sid] = [e[1]] if len(e) == 2 else _band(e[1:], pot, band_tol, margin)[0]
+            buckets[x, sid] = e[1:] if exact or len(e) == 2 else _band(e[1:], pot, band_tol, margin)[0]
             due[x, sid] = two_clock + (e[0] - margin) * _TWO_OVER[1 + (x in growing)]  # the new set grows
         self._log(self.clock, ARRIVAL, {"u": u})
 
@@ -626,33 +655,48 @@ class GreedyDualEngine:
         """Give the new set ``c`` the buckets of its children ``a`` < ``b``:
         {a, b} goes, and for each other active set x, {a, x} and {b, x}
         (either may be missing) become {c, x}, the band of their union, due
-        at its new rate.  Whether ``c`` grows is read from its surplus, as
-        ``_merge`` reads it: ``c`` has not matched yet."""
+        at its new rate.  An exact bucket holds only ties (see above), so its
+        head has its least slack, and the band of the union is the child
+        with the smaller head slack, or both, a's first, on a tie.  Whether
+        ``c`` grows is read from its surplus, as ``_merge`` reads it: ``c``
+        has not matched yet."""
         buckets, due, polarity, growing = self._buckets, self._due, self._polarity, self.growing
         pa, pb = polarity.pop(a), polarity.pop(b)
         del buckets[a, b]  # the tight pair that merges a and b is one of its candidates
         due.pop((a, b), None)
         counts = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
         grows = _surplus(counts) > 0
-        pot, band_tol, margin, two_clock = self.potential, self._band_tol, self._margin, 2 * self._clock
+        pot, band_tol, margin, two_clock, exact = self.potential, self._band_tol, self._margin, 2 * self._clock, self._exact
         for x in polarity:
             ka = (x, a) if x < a else (a, x)
             kb = (x, b) if x < b else (b, x)
-            cands = buckets.pop(ka, None)
-            if cands is not None:
+            ca = buckets.pop(ka, None)
+            if ca is not None:
                 due.pop(ka, None)
             cb = buckets.pop(kb, None)
             if cb is not None:
                 due.pop(kb, None)
-                cands = cb if cands is None else cands + cb
-            elif cands is None:
-                continue
             r = grows + (x in growing)
-            if len(cands) > 1:
-                cands, least = _band(cands, pot, band_tol, margin)
-            elif r:
-                u, v, cost = cands[0]
+            if ca is None or cb is None:
+                cands = cb if ca is None else ca
+                if cands is None:
+                    continue
+                if len(cands) > 1 and not exact:
+                    cands, least = _band(cands, pot, band_tol, margin)
+                elif r:
+                    u, v, cost = cands[0]
+                    least = cost - pot[u] - pot[v]
+            elif exact:
+                u, v, cost = ca[0]
                 least = cost - pot[u] - pot[v]
+                u, v, cost = cb[0]
+                head = cost - pot[u] - pot[v]
+                if head < least:
+                    cands, least = cb, head
+                else:
+                    cands = ca if least < head else ca + cb
+            else:
+                cands, least = _band(ca + cb, pot, band_tol, margin)
             buckets[x, c] = cands
             if r:
                 due[x, c] = two_clock + (least - margin) * _TWO_OVER[r]

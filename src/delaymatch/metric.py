@@ -5,10 +5,11 @@ and a ring of fixed circumference.  Matrix/line/ring support exact rational
 arithmetic; the plane produces irrational distances and is float-only.
 ``check_point`` asks ``scalars.is_scalar`` whether a position or coordinate
 is a scalar of the instance's mode; no kind keeps a type rule of its own.
-``grid`` tabulates the distances over a list of distinct points; in exact
-mode line, ring and matrix put their inputs on one integer grid first, so
-no Fraction arithmetic builds the table.  Metric objects are immutable
-after construction.
+``grid`` tabulates the distances over a list of distinct points in
+comprehensions of its kind's distance expression, with no method call per
+pair; in exact mode line, ring and matrix put their inputs on one integer
+grid first, so no Fraction arithmetic builds the table.  Metric objects are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -46,17 +47,17 @@ class Metric:
     def grid(self, points, mode: str) -> tuple:
         """``(scale, rows)``: the square table of distances over the distinct
         ``points``.  In float mode ``scale`` is None and ``rows[i][j]`` is
-        ``distance(points[i], points[j])``, called once per unordered pair
-        ``i <= j``.  In exact mode ``rows[i][j]`` is an int that stands for
-        the distance times the int ``scale``; the kinds compute it on their
-        scaled inputs (``_exact_grid``), with no Fraction arithmetic."""
+        ``distance(points[i], points[j])`` bit for bit, from the kind's own
+        expression (``_rows``) with no method call per pair.  In exact mode
+        ``rows[i][j]`` is an int that stands for the distance times the int
+        ``scale``; the kinds compute it on their scaled inputs
+        (``_exact_grid``), with no Fraction arithmetic."""
         if mode == EXACT:
             return self._exact_grid(points)
-        rows = [[None] * len(points) for _ in points]
-        for i, p in enumerate(points):
-            for j in range(i, len(points)):
-                rows[i][j] = rows[j][i] = self.distance(p, points[j])
-        return None, rows
+        return None, self._rows(points)
+
+    def _rows(self, points) -> list:
+        raise NotImplementedError
 
     def _exact_grid(self, points) -> tuple:
         raise InvalidPointError(f"{self.kind} metric has no exact distances")
@@ -89,10 +90,13 @@ class LineMetric(Metric):
     def distance(self, a, b):
         return abs(a - b)
 
+    def _rows(self, points):
+        return [[abs(a - b) for b in points] for a in points]
+
     def _exact_grid(self, points):
         # The scale is the lcm of the positions' denominators.
         scale, xs = _on_grid(points)
-        return scale, [[abs(a - b) for b in xs] for a in xs]
+        return scale, self._rows(xs)
 
     def check_point(self, p, mode):
         if not is_scalar(p, mode):
@@ -129,10 +133,15 @@ class RingMetric(Metric):
         d = abs(a - b)
         return min(d, self.h - d)
 
+    def _rows(self, points, h=None):
+        # ``distance`` with ``h`` for the circumference, the scaled one on the exact grid.
+        h = self.h if h is None else h
+        return [[min(d, h - d) for d in [abs(a - b) for b in points]] for a in points]
+
     def _exact_grid(self, points):
         # The scale is the lcm of the denominators of h and the positions.
         scale, (h, *xs) = _on_grid([self.h, *points])
-        return scale, [[min(d, h - d) for d in (abs(a - b) for b in xs)] for a in xs]
+        return scale, self._rows(xs, h)
 
     def check_point(self, p, mode):
         if not is_scalar(p, mode):
@@ -158,6 +167,12 @@ class EuclideanMetric(Metric):
 
     def distance(self, a, b):
         return math.hypot(a[0] - b[0], a[1] - b[1])
+
+    def _rows(self, points):
+        # One hypot per unordered pair, mirrored: the hypot calls are most of the cost.
+        hypot = math.hypot
+        upper = [[hypot(ax - bx, ay - by) for bx, by in points[i:]] for i, (ax, ay) in enumerate(points)]
+        return [[upper[j][i - j] for j in range(i)] + row for i, row in enumerate(upper)]
 
     def check_point(self, p, mode):
         if not isinstance(p, tuple) or len(p) != 2 or not all(is_scalar(c, mode) for c in p):
@@ -185,6 +200,10 @@ class MatrixMetric(Metric):
 
     def distance(self, a, b):
         return self.dist[a][b]
+
+    def _rows(self, points):
+        rows = [self.dist[p] for p in points]
+        return [[row[q] for q in points] for row in rows]
 
     def _exact_grid(self, points):
         # The scale is the lcm of the denominators of the entries the points index.

@@ -28,6 +28,7 @@ exactly, a pair is tight when ``x == c`` and within budget when ``x <= c``.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -56,6 +57,10 @@ def is_scalar(x, mode: str) -> bool:
     return type(x) in _FLOAT_TYPES and abs(x) <= _FLOAT_MAX
 
 
+# A strict "p/q" literal: its numerator and denominator as ASCII digit strings.
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)").fullmatch
+
+
 class ScalarError(ValueError):
     """A JSON value does not encode a scalar valid for the numeric mode."""
 
@@ -65,13 +70,20 @@ def parse_scalar(value, mode: str) -> Scalar:
 
     A ``"p/q"`` string is read as a rational (JSON doubles cannot carry exact
     rationals); any other value must be a scalar of the mode as it stands.
-    Exact mode returns a ``Fraction``, float mode a finite ``float``.
+    Exact mode returns a ``Fraction``, float mode a finite ``float``.  A
+    string of ASCII digits, an optional leading minus, a slash and a nonzero
+    ASCII denominator is read from its two ints; every other string goes
+    through ``Fraction(str)``, which gives such a string the same value.
     """
     if mode not in MODES:
         raise ScalarError(f"unknown numeric mode {mode!r}")
     if isinstance(value, str):
         try:
-            frac = Fraction(value)
+            ratio = _RATIO(value)
+            if ratio is not None and (q := int(ratio[2])):
+                frac = Fraction(int(ratio[1]), q)
+            else:
+                frac = Fraction(value)
             return frac if mode == EXACT else float(frac)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ScalarError(f"bad rational literal {value!r}: {exc}") from None

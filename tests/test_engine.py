@@ -299,12 +299,17 @@ def _reader_corpus(name):
         ]
         insts += [gen_random_instance(seed=seed, m=seed % 4 + 1, metric_kind="euclidean") for seed in range(30)]
         return [run(inst) for inst in insts]
+    return [run(inst) for inst in perfbench_instances(int(name.removeprefix("perfbench-")))]
+
+
+def perfbench_instances(seed, workloads=None):
+    """The instances of the benchmark's corpora (all three workloads, or
+    those named) at ``seed``, built as the benchmark builds them."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(corpus)  # its dataclass looks itself up in sys.modules
-    seed = int(name.removeprefix("perfbench-"))
-    return [run(corpus.build(s, generators)) for w in corpus.WORKLOADS for s in corpus.corpus(w, seed)]
+    return [corpus.build(s, generators) for w in workloads or corpus.WORKLOADS for s in corpus.corpus(w, seed)]
 
 
 @pytest.mark.parametrize("name", ["golden", "acceptance", "perfbench-1", "perfbench-2"])

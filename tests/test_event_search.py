@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from delaymatch import engine
 from delaymatch.certify import certify
 from delaymatch.engine import _TWO_OVER, EngineInvariantError, GreedyDualEngine, events_to_jsonl, run
-from delaymatch.generators import gen_random_instance, gen_tightness_instance
+from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, make_instance
 from delaymatch.metric import EuclideanMetric
 from delaymatch.scalars import EPS_TIGHT, FLOAT, tol
@@ -229,6 +230,102 @@ def test_float_traces_at_benchmark_size_match_the_flat_scan(seed, variant):
     their keys, over about 400 steps."""
     inst = gen_random_instance(seed=seed, m=100, metric_kind="euclidean", variant=variant)
     assert events_to_jsonl(GreedyDualEngine(inst).run()) == events_to_jsonl(FlatScanEngine(inst).run())
+
+
+EXACT_AT_BENCHMARK_SIZE = {
+    **{
+        f"line-{seed}-{variant}": (seed, variant)
+        for seed in (100, 101)
+        for variant in (MPMD, MBPMD)
+    },
+    "tightness-150": lambda: gen_tightness_instance(150),
+    "ring-64": lambda: gen_ring_instance(64),
+    "ring-72": lambda: gen_ring_instance(72),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_AT_BENCHMARK_SIZE.values(), ids=EXACT_AT_BENCHMARK_SIZE)
+def test_exact_traces_at_benchmark_size_match_the_flat_scan(case):
+    """The online-exact benchmark's instance families at its sizes: line
+    m=100 (most pairs far from tight), tightness m=150 (many pairs tight at
+    once) and the ring schedules (deep merge cascades, big denominators)."""
+    inst = case() if callable(case) else gen_random_instance(seed=case[0], m=100, metric_kind="line", variant=case[1])
+    assert events_to_jsonl(GreedyDualEngine(inst).run()) == events_to_jsonl(FlatScanEngine(inst).run())
+
+
+def assert_exact_buckets_hold_ties(eng):
+    """Each bucket's candidates are exactly the cross pairs of its two sets
+    at their least slack, each listed once, with slacks recomputed from the
+    instance's grid and the engine's potentials, and a bucket with a growing
+    set is due at ``2 * clock + f * least``, ``f = 2 / r`` for ``r`` growing
+    sets; the others have no due time."""
+    grid, pot, growing = eng.inst.grid, eng.potential, eng.growing
+    k = eng._scale // grid.scale  # the engine's rescales so far
+    dist, pid, atime, sgn = grid.dist, grid.pid, grid.atime, grid.sgn
+    members = {}
+    for u in range(eng.next_arrival):
+        members.setdefault(eng.assign[u], []).append(u)
+    for (a, b), cands in eng._buckets.items():
+        slacks = {}
+        for x in members[a]:
+            for y in members[b]:
+                if sgn[y] == -sgn[x]:
+                    u, v = min(x, y), max(x, y)
+                    slacks[u, v] = (dist[pid[u]][pid[v]] + atime[v] - atime[u]) * k - pot[u] - pot[v]
+        least = min(slacks.values())
+        assert [slacks[u, v] for u, v, _ in cands] == [least] * len(cands), (a, b)
+        assert len({(u, v) for u, v, _ in cands}) == len(cands) == list(slacks.values()).count(least), (a, b)
+        f = _TWO_OVER[(a in growing) + (b in growing)]
+        assert eng._due.get((a, b)) == (2 * eng._clock + f * least if f else None), (a, b)
+
+
+def _exact_invariant_corpus():
+    out = {
+        "tightness-20": gen_tightness_instance(20),
+        "tightness-20-mbpmd": gen_tightness_instance(20, variant=MBPMD),
+        "ring-16": gen_ring_instance(16),
+    }
+    for seed in range(3):
+        for kind in ("line", "ring", "matrix"):
+            for variant in (MPMD, MBPMD):
+                m = 12 + 4 * seed
+                out[f"{kind}-{variant}-{seed}"] = gen_random_instance(seed=seed, m=m, metric_kind=kind, variant=variant)
+    return out
+
+
+EXACT_INVARIANT_CORPUS = _exact_invariant_corpus()
+
+
+def _assert_ties_after_every_step(inst):
+    eng = GreedyDualEngine(inst)
+    while eng.step():
+        assert_exact_buckets_hold_ties(eng)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(max_m=6))
+def test_exact_buckets_hold_only_ties_at_their_least_slack(inst):
+    _assert_ties_after_every_step(inst)
+
+
+@pytest.mark.parametrize("inst", EXACT_INVARIANT_CORPUS.values(), ids=EXACT_INVARIANT_CORPUS)
+def test_exact_buckets_of_each_family_hold_only_ties(inst):
+    """Line, ring and matrix in both variants (in mbpmd, folds that meet a
+    missing bucket), runs that rescale, and the tightness and ring
+    schedules."""
+    _assert_ties_after_every_step(inst)
+
+
+def test_exact_runs_rank_no_candidates(monkeypatch):
+    """An exact run ranks no candidates by slack (``_band``): it admits and
+    folds by ties alone.  A float run does rank them."""
+    calls, band = [], engine._band
+    monkeypatch.setattr(engine, "_band", lambda *args: (calls.append(1), band(*args))[1])
+    for inst in EXACT_INVARIANT_CORPUS.values():
+        run(inst)
+    assert calls == []
+    run(gen_random_instance(seed=1, m=20, metric_kind="euclidean"))
+    assert calls
 
 
 class KeySearchCounter(GreedyDualEngine):

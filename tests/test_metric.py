@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from delaymatch.generators import gen_random_instance
+from delaymatch.instance import instance_json, parse_instance
 from delaymatch.metric import (
     EuclideanMetric,
     InvalidPointError,
@@ -138,9 +141,8 @@ GRID_CASES = {
 
 @pytest.mark.parametrize("metric, points, mode", GRID_CASES.values(), ids=GRID_CASES)
 def test_grid_is_the_distance_of_every_pair(metric, points, mode, monkeypatch):
-    """Exact mode: each entry over the scale is the distance, and ``distance``
-    is not called.  Float mode: each entry is the distance, bit for bit, from
-    one call per unordered pair."""
+    """Exact mode: each entry over the scale is the distance.  Float mode:
+    each entry is the distance, bit for bit.  Neither calls ``distance``."""
     calls = []
     distance = type(metric).distance
     monkeypatch.setattr(type(metric), "distance", lambda self, a, b: (calls.append((a, b)), distance(self, a, b))[1])
@@ -155,13 +157,40 @@ def test_grid_is_the_distance_of_every_pair(metric, points, mode, monkeypatch):
                 assert type(rows[i][j]) is int and Fraction(rows[i][j], scale) == d, (p, q)
             else:
                 assert type(rows[i][j]) is type(d) and repr(rows[i][j]) == repr(d), (p, q)
-    if mode == EXACT:
-        assert calls == []
-    else:
-        assert scale is None
-        assert calls == [(points[i], points[j]) for i in range(n) for j in range(i, n)]
+    assert calls == []
+    assert (scale is None) == (mode == FLOAT)
 
 
 def test_the_plane_has_no_exact_grid():
     with pytest.raises(InvalidPointError):
         EuclideanMetric().grid([(0, 0)], EXACT)
+
+
+def _float_instances():
+    """The float instances of the benchmark's float-plane corpus at seeds 1
+    and 2, the near-tie family, and the acceptance corpus's line, ring and
+    matrix instances read in float mode."""
+    from test_engine import perfbench_instances
+    from test_event_search import near_tie_instance
+
+    out = [inst for seed in (1, 2) for inst in perfbench_instances(seed, ["float-plane"])]
+    out += [near_tie_instance(seed) for seed in range(200)]
+    for seed in range(168):
+        for kind in ("line", "matrix", "ring"):
+            variant = "mbpmd" if seed % 2 else "mpmd"
+            doc = json.loads(instance_json(gen_random_instance(seed=seed, m=seed % 5 + 1, variant=variant, metric_kind=kind)))
+            out.append(parse_instance({**doc, "mode": FLOAT}))
+    return out
+
+
+def test_float_grid_is_the_per_pair_distance_table():
+    """Each instance's grid is, bit for bit and type for type, the table of
+    ``distance`` over its distinct positions."""
+    kinds = set()
+    for inst in _float_instances():
+        kinds.add(inst.metric.kind)
+        points = sorted({r.pos for r in inst.requests})
+        scale, rows = inst.metric.grid(points, FLOAT)
+        table = [[inst.metric.distance(p, q) for q in points] for p in points]
+        assert [[(type(x), repr(x)) for x in row] for row in rows] == [[(type(x), repr(x)) for x in row] for row in table]
+    assert kinds == {"euclidean", "line", "ring", "matrix"}

@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from math import inf, nan, nextafter
@@ -138,3 +139,65 @@ def test_leq_and_eq_keep_the_larger_magnitude_formula(magnitude):
             bound = EPS_TIGHT * max(1.0, abs(a), abs(b))
             assert leq(a, b, FLOAT) == (a <= b + bound), (a, b)
             assert eq(a, b, FLOAT) == (abs(a - b) <= bound), (a, b)
+
+
+def _through_fraction(value, mode):
+    """``parse_scalar`` of a string as it reads every string it has no int
+    path for: through ``Fraction(str)``."""
+    try:
+        frac = Fraction(value)
+        return frac if mode == EXACT else float(frac)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ScalarError(f"bad rational literal {value!r}: {exc}") from None
+
+
+def _outcome(parse, value, mode):
+    """The type and repr of what ``parse`` returns (repr keeps -0.0 apart
+    from 0.0), or its error message."""
+    try:
+        x = parse(value, mode)
+    except ScalarError as exc:
+        return ScalarError, str(exc)
+    return type(x), repr(x)
+
+
+def _string_tokens(doc, out):
+    """Add to ``out`` every string value in a JSON document but the names
+    of a variant, a mode or a kind."""
+    if isinstance(doc, str):
+        out.add(doc)
+    elif isinstance(doc, list):
+        for x in doc:
+            _string_tokens(x, out)
+    elif isinstance(doc, dict):
+        for key, x in doc.items():
+            if key not in ("variant", "mode", "kind"):
+                _string_tokens(x, out)
+
+
+EDGE_TOKENS = (
+    "0/0", "+1/2", " 1/2", "1/2 ", "1/2\n", "1/-2", "-1/-2", "1_0/3", "10/3_0", "١/٢", "1/２",
+    "1.5", "1e3", "-0/5", "0/7", "007/014", "-12/8", "3/0", "-3/00", "1/", "/2", "-/2", "--1/2", "1//2", "1/2/3",
+    "5", "-5", "", "/", "pi", "1e400", "9" * 5000 + "/7", "7/" + "9" * 5000, "1/" + "0" * 5000,
+)
+
+
+def test_ratio_strings_parse_as_through_fraction():
+    """Every string time and position token of the benchmark's three
+    corpora at seeds 1 and 2 (instances and traces), and edge cases, parse
+    in both modes to the value and type, or the error message, that
+    ``Fraction(str)`` gives."""
+    from delaymatch.engine import events_to_jsonl, run
+    from delaymatch.instance import instance_json
+    from test_engine import perfbench_instances
+
+    tokens = set()
+    for seed in (1, 2):
+        for inst in perfbench_instances(seed):
+            _string_tokens(json.loads(instance_json(inst)), tokens)
+            for line in events_to_jsonl(run(inst)).splitlines():
+                _string_tokens(json.loads(line), tokens)
+    assert len(tokens) > 500 and all("/" in t for t in tokens)
+    for token in (*sorted(tokens), *EDGE_TOKENS):
+        for mode in (EXACT, FLOAT):
+            assert _outcome(parse_scalar, token, mode) == _outcome(_through_fraction, token, mode), (token, mode)

@@ -265,6 +265,26 @@ class FoldKeepsLoser(GreedyDualEngine):
                     self._buckets[x, y] = whole
 
 
+class FoldKeepsLargerHead(GreedyDualEngine):
+    """Folds exact {a, x} and {b, x} into {c, x} by keeping the child whose
+    head has the larger slack, where the two heads differ."""
+
+    fired = False
+
+    def _fold(self, a, b, c):
+        before, pot = dict(self._buckets), self.potential
+        super()._fold(a, b, c)
+        if not self._exact:
+            return
+        for x in self._polarity:
+            ca, cb = before.get((min(a, x), max(a, x))), before.get((min(b, x), max(b, x)))
+            if ca and cb:
+                sa, sb = (cost - pot[u] - pot[v] for u, v, cost in (ca[0], cb[0]))
+                if sa != sb:
+                    self.fired = True
+                    self._buckets[x, c] = ca if sa > sb else cb
+
+
 # What a feasibility sweep after every growth event reports for each CORPUS
 # instance (None: the run completes).
 OVERSHOT_TIGHT = {
@@ -354,6 +374,26 @@ def test_self_check_catches_a_fold_that_keeps_the_losing_candidates():
             with pytest.raises(EngineInvariantError, match=not_band):
                 eng.run()
         assert eng.fired, i
+
+
+def test_self_check_names_a_fold_that_keeps_the_larger_head():
+    """An exact fold reads one head per child; keeping the wrong child
+    leaves candidates above the bucket's least slack, which changes no trace
+    until the bucket is due.  It fires on every exact instance.  On the two
+    tightness instances, as for ``FoldKeepsLoser``, each instant at which it
+    fires ends with one active set and no bucket, so no check sees a spoilt
+    bucket, and the run completes with the clean engine's trace."""
+    not_band = r"^live-pairs: sets \(\d+, \d+\): candidates are not the least-slack band$"
+    for i, inst in enumerate(CORPUS):
+        eng = FoldKeepsLargerHead(inst, self_check=True)
+        if i < 2:
+            assert eng.run().event_log == GreedyDualEngine(inst).run().event_log
+        elif eng._exact:
+            with pytest.raises(EngineInvariantError, match=not_band):
+                eng.run()
+        else:
+            eng.run()
+        assert eng.fired == eng._exact, i
 
 
 def test_self_check_names_a_late_due_time():
