@@ -26,8 +26,9 @@ two active sets that hold that pair.  By induction, after every event:
 * the marked edges inside each active set form a spanning tree of its
   members (each merge adds one edge between two distinct trees), and no
   marked edge crosses active sets;
-* each marked edge's frozen value is at its budget: the merge freezes the
-  value the tight event tested, with no event in between.
+* each marked edge's value is at its budget: the merge records the
+  potentials the tight event tested, with no event in between, and the
+  edge's value stays their sum (see ``_Replay._rows``).
 
 Each entry of ``_Replay.marked`` is ``(u, v, C)``: the tight pair a merge
 marked and the set C that merge created.  The endgame routes each matched
@@ -50,17 +51,17 @@ when the clock leaves it, the run ends or the self-check closes a step, but
 only if an event was applied since the last settle, so each instant is
 checked once.  Pair budgets come from ``Instance.grid`` (``Grid.cost``,
 ``Grid.pairs``), which the engine reads too but cannot change; the endgame
-sums ``metric.distance`` over the matched pairs, apart from the grid, and
-the cross-check compares the run's totals with that sum.  The waiting cost
-is summed on the grid, from the match times and the arrival times each
-arrival event was checked against.
+sums ``metric.distance`` over the matched pairs, apart from the grid, once
+per pair as it routes them, and the cross-check compares the run's totals
+with that sum.  The waiting cost is summed on the grid, from the match times
+and the arrival times each arrival event was checked against.
 
 In exact mode the replay computes on Python ints over a scale ``S``: an int
-``x`` stands for ``x / S``.  The clock, the grid, potentials, frozen pair
-values and each set's ``y`` and growth end are scaled.  ``S`` starts as the
-scale of ``Instance.grid``: the lcm of the denominators of the arrival times
-and of the metric's inputs (positions, a ring's circumference, matrix
-entries).  Trace times are read as they are; a time not of the mode
+``x`` stands for ``x / S``.  The clock, the grid, potentials, and each set's
+``y``, growth end and record of its members' potentials are scaled.  ``S``
+starts as the scale of ``Instance.grid``: the lcm of the denominators of the
+arrival times and of the metric's inputs (positions, a ring's circumference,
+matrix entries).  Trace times are read as they are; a time not of the mode
 (``is_scalar``) or an index that is not an int breaks the trace shape.  When
 an event time or a growth endpoint with denominator ``den`` falls off the
 grid, ``S`` grows by ``k = den // gcd(S, den)`` and every scaled int is
@@ -74,9 +75,13 @@ Float mode runs the same code on the floats themselves, with no scale.
 
 Dual feasibility is checked once, where the replay stops: at the end, at
 its first violation, or where an engine guard or cache check raises under
-self-check.  Values only rise (growth needs ``from < to``, a merge freezes a
-pair, an inactive set never grows) and budgets are fixed, so a pair within
-budget there was within budget after every earlier event.  A pair is judged
+self-check.  Values only rise (growth needs ``from < to``, a merge freezes
+the pairs it joins, an inactive set never grows) and budgets are fixed, so
+a pair within budget there was within budget after every earlier event.
+No value is kept per pair: ``_Replay._rows`` reads a pair across active
+sets from its potentials, and a pair inside one from the record of the set
+whose merge joined it, the two potentials it held then; each row is filled
+by one walk up its first request's chain of sets.  A pair is judged
 against its budget by the budget-pair form of the tolerance rule stated in
 ``scalars``, the form the engine's tightness test uses: in float mode,
 within budget is ``value <= cost + tol(cost)``, and a tight pair must also
@@ -85,12 +90,13 @@ the self-check both call, holds this rule: if a pair fails, the reference
 replay (``per_event``) reruns exactly the input ``drive`` was handed, with a
 full sweep after every growth event and settle, and its report stands.
 
-``certify`` walks the pairs once.  After a clean ``drive``, one sweep over
-``Grid.pairs`` (``_Replay.sweep``) builds each pair's ``(u, v, slack)`` row
-of the certificate and tests the pair with the stop sweep's expression; if
-any pair is over budget, ``stop_sweep`` gives the verdict as above.  A
-``drive`` that reports a violation goes to ``stop_sweep`` with it.  The
-least slack is computed once per certificate, when first read.
+``certify`` walks the pairs once.  After a clean ``drive``, one sweep of
+``_Replay._rows`` (``_Replay.sweep``) builds each pair's ``(u, v, slack)``
+row of the certificate and tests the pair with the stop sweep's rule,
+``_first_over_budget``; if any pair is over budget, ``stop_sweep`` gives
+the verdict as above.  A ``drive`` that reports a violation goes to
+``stop_sweep`` with it.  The least slack is computed once per certificate,
+when first read.
 """
 
 from __future__ import annotations
@@ -216,6 +222,7 @@ class _RSet:
     __slots__ = (
         "set_id",
         "members",
+        "children",
         "pol",
         "sur",
         "y",
@@ -224,9 +231,10 @@ class _RSet:
         "parent",
     )
 
-    def __init__(self, set_id, members, pol, sur, free, clock, zero):
+    def __init__(self, set_id, members, children, pol, sur, free, clock, zero):
         self.set_id = set_id
-        self.members = members
+        self.members = members  # member -> its scaled potential when the set was made
+        self.children = children  # the two sets its merge joined; () for an arrival's
         self.pol = pol  # the members' summed polarity
         self.sur = sur
         self.y = zero
@@ -243,8 +251,8 @@ class _Replay:
         n = len(inst.requests)
         self.grid = inst.grid  # shared and immutable: ``_rescale`` replaces it
         self.zero = 0.0 if self.grid.scale is None else 0
-        # Scaled: the clock, the grid, the potentials, the frozen pair
-        # values, and each set's ``y`` and ``growth_end``.
+        # Scaled: the clock, the grid, the potentials, and each set's
+        # member potentials, ``y`` and ``growth_end``.
         self._clock = self.zero
         self.clock = self.external(self.zero)  # the time of the last clock move, as the trace gave it
         self.next_arrival = 0
@@ -252,7 +260,6 @@ class _Replay:
         self.assign = [None] * n
         self.sets: list[_RSet] = []
         self.active = {}  # set id -> its record, for the active sets, in set-id order
-        self.frozen = {}
         self.leaf = []  # request -> the singleton set its arrival created
         self.marked = []  # (u, v, the set created by the merge that marked it), in trace order
         self.matching = []
@@ -287,8 +294,8 @@ class _Replay:
         self.grid = self.grid.rescaled(k)
         self._clock *= k
         self.potential = [p * k for p in self.potential]
-        self.frozen = {key: x * k for key, x in self.frozen.items()}
         for rec in self.sets:
+            rec.members = {w: p * k for w, p in rec.members.items()}
             rec.y *= k
             rec.growth_end *= k
 
@@ -299,13 +306,6 @@ class _Replay:
 
     def _dump_witness(self, witness):
         return {k: dump_scalar(v, self.mode) if isinstance(v, Fraction) else v for k, v in witness.items()}
-
-    def pair_value(self, u, v):
-        """Scaled value charged against the (u, v) budget."""
-        key = (u, v) if u < v else (v, u)
-        if key in self.frozen:
-            return self.frozen[key]
-        return self.potential[key[0]] + self.potential[key[1]]
 
     # -- event admission ----------------------------------------------------
 
@@ -379,7 +379,7 @@ class _Replay:
         self._move_clock(ev.t, t)
         self.next_arrival += 1
         sid = len(self.sets)
-        rec = _RSet(sid, frozenset({u}), self.grid.sgn[u], 1, {u}, self._clock, self.zero)
+        rec = _RSet(sid, {u: self.zero}, (), self.grid.sgn[u], 1, {u}, self._clock, self.zero)
         self.sets.append(rec)
         self.active[sid] = rec
         self.assign[u] = sid
@@ -437,7 +437,8 @@ class _Replay:
             self._fail("trace-shape", f"tight pair ({u}, {v}) is not eligible", u=u, v=v)
         if self.assign[u] == self.assign[v]:
             self._fail("trace-shape", f"tight pair ({u}, {v}) lies inside one active set", u=u, v=v)
-        value, cost = self.pair_value(u, v), self.grid.cost(u, v)
+        # Across two active sets, a pair's value is its two potentials.
+        value, cost = self.potential[u] + self.potential[v], self.grid.cost(u, v)
         if not self._at_budget(value, cost):
             value, cost = self.external(value), self.external(cost)
             self._fail(
@@ -472,18 +473,15 @@ class _Replay:
                 b=b,
             )
         # The children are disjoint: the new set's surplus is the parity of
-        # its size, or in the bipartite variant its absolute polarity.
-        members, pol = ra.members | rb.members, ra.pol + rb.pol
+        # its size, or in the bipartite variant its absolute polarity.  It
+        # records its members' potentials, which fix the values of the pairs
+        # it joins (see ``_rows``).
+        potential, pol = self.potential, ra.pol + rb.pol
+        members = {w: potential[w] for child in (ra, rb) for w in child.members}
         sur = len(members) % 2 if self.inst.variant == MPMD else abs(pol)
-        rec = _RSet(sid, members, pol, sur, ra.free | rb.free, self._clock, self.zero)
-        sgn, potential, frozen = self.grid.sgn, self.potential, self.frozen
-        for x in ra.members:
-            partner = -sgn[x]
-            for w in rb.members:
-                if sgn[w] == partner:
-                    frozen[(x, w) if x < w else (w, x)] = potential[x] + potential[w]
-        ra.parent = rb.parent = sid
+        rec = _RSet(sid, members, (a, b), pol, sur, ra.free | rb.free, self._clock, self.zero)
         self.sets.append(rec)
+        ra.parent = rb.parent = sid
         del self.active[a], self.active[b]
         self.active[sid] = rec
         for w in members:
@@ -596,17 +594,42 @@ class _Replay:
             value, budget = self.external(x), self.external(c)
             self._fail("dual-feasibility", f"pair ({u}, {v}) {breach}", u=u, v=v, value=value, budget=budget)
 
-    def _first_over_budget(self):
-        """The first arrived (u, v, value, budget) over budget: beyond it in
-        exact mode, beyond ``c + tol(c)`` in float mode (see ``scalars``)."""
-        potential, frozen, exact = self.potential, self.frozen.get, self.grid.scale is not None
-        for u, v, c in self.grid.pairs(self.next_arrival):
-            x = frozen((u, v))
-            if x is None:
-                x = potential[u] + potential[v]
+    def _first_over_budget(self, rows=None):
+        """The first (u, v, value, budget) over budget among ``rows``, by
+        default the ``_rows`` of the arrived pairs: beyond it in exact mode,
+        beyond ``c + tol(c)`` in float mode (see ``scalars``)."""
+        exact = self.grid.scale is not None
+        for u, v, c, x in self._rows(self.next_arrival) if rows is None else rows:
             if x > c and (exact or x > c + tol(c)):
                 return u, v, x, c
         return None
+
+    def _rows(self, n):
+        """Yield ``(u, v, budget, value)``, scaled, for the eligible pairs
+        u < v among the first ``n`` requests, in ``Grid.pairs`` order.
+
+        A pair across two active sets takes its two potentials; a pair inside
+        one, its two entries in the set whose merge joined it: nothing that
+        grows after holds one end and not the other.  The row of ``u`` is
+        filled by one walk up ``u``'s sets, each merge joining ``u`` to the
+        members of the other child.  Only appended records are read, so the
+        rows hold wherever the replay stopped."""
+        potential, sets, leaf = self.potential, self.sets, self.leaf
+        row_of = None
+        for u, v, c in self.grid.pairs(n):
+            if u != row_of:
+                row_of, pu = u, potential[u]
+                row = [pu + p for p in potential]
+                rec = sets[leaf[u]]
+                while rec.parent is not None:
+                    up = sets[rec.parent]
+                    a, b = up.children
+                    held = up.members
+                    x = held[u]
+                    for w in sets[b if a == rec.set_id else a].members:
+                        row[w] = x + held[w]
+                    rec = up
+            yield u, v, c, row[v]
 
     # -- endgame ---------------------------------------------------------------
 
@@ -624,17 +647,17 @@ class _Replay:
         if unmatched:
             self._fail("matching-validity", "run ended with unmatched requests", unmatched=unmatched)
         # The waiting cost is summed on the grid, whose arrival times the
-        # arrival events matched; the connection cost apart from it.
-        reqs, distance, atime, scaled = self.inst.requests, self.inst.metric.distance, self.grid.atime, self.scaled
-        connection, waiting = self.external(self.zero), self.zero
+        # arrival events matched; the connection cost apart from it, by
+        # ``_check_paths``.
+        atime, scaled = self.grid.atime, self.scaled
+        waiting = self.zero
         for u, v, t in self.matching:
-            connection += distance(reqs[u].pos, reqs[v].pos)
             t = scaled(t)
             waiting += (t - atime[u]) + (t - atime[v])
         dual = self.zero
         for rec in self.sets:
             dual += rec.sur * rec.y
-        self.connection, self.waiting, self.dual = connection, self.external(waiting), self.external(dual)
+        self.waiting, self.dual = self.external(waiting), self.external(dual)
         self._check_waiting_equals_dual()
         self._check_paths()
         self._check_total_bound()
@@ -651,13 +674,17 @@ class _Replay:
             )
 
     def _check_paths(self):
+        """Route each matched pair through the marked forest and check its
+        bounds, summing the pairs' distances, in match order, as the
+        replay's ``connection`` cost."""
         inst, marked, sets = self.inst, self.marked, self.sets
         dual, route = self.dual, self.router()
-        twice = 2 * dual
+        twice, connection = 2 * dual, self.external(self.zero)
         for u, v, _ in self.matching:
             check = marked_path(inst, marked, sets, (u, v), route)
             if check is None:
                 self._fail("path-bound", f"no marked path joins matched pair ({u}, {v})", u=u, v=v)
+            connection += check.distance
             if not leq(check.distance, check.path_length, self.mode):
                 self._fail(
                     "path-bound",
@@ -683,6 +710,7 @@ class _Replay:
                     distance=check.distance,
                     dual=dual,
                 )
+        self.connection = connection
 
     def _check_total_bound(self):
         total = self.connection + self.waiting
@@ -758,22 +786,19 @@ class _Replay:
     def sweep(self):
         """The one sweep of a clean ending: each eligible pair's scaled slack,
         ``((u, v, slack), ...)`` sorted by pair, and whether a pair is over
-        budget by the rule of ``_first_over_budget``."""
-        potential, frozen, exact = self.potential, self.frozen.get, self.grid.scale is not None
-        over = False
+        budget.  ``_first_over_budget`` reads the rows as they are kept, and
+        the rows past the first pair over budget are kept after it."""
+        rows, slacks = self._rows(len(self.inst.requests)), []
+        keep = slacks.append
 
-        def rows():  # into the tuple as they come, with no list beside it
-            nonlocal over
-            for u, v, c in self.grid.pairs(len(self.inst.requests)):
-                x = frozen((u, v))
-                if x is None:
-                    x = potential[u] + potential[v]
-                if x > c and (exact or x > c + tol(c)):
-                    over = True
-                yield u, v, c - x
+        def kept():
+            for u, v, c, x in rows:
+                keep((u, v, c - x))
+                yield u, v, c, x
 
-        slacks = tuple(rows())
-        return slacks, over
+        over = self._first_over_budget(kept()) is not None
+        slacks += [(u, v, c - x) for u, v, c, x in rows]
+        return tuple(slacks), over
 
 
 def marked_path(inst, marked, sets, pair, route=None):

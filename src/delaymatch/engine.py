@@ -103,22 +103,18 @@ def _eligible_pairs(neutral: int, positive: int, negative: int) -> int:
     return positive * negative + neutral * (neutral - 1) // 2
 
 
-def _band(cands: list, pot: list, band_tol, margin) -> tuple:
-    """The ``(u, v, budget)`` triples of ``cands`` whose slack under the
-    potentials ``pot`` is at most the least slack plus twice their own
-    ``band_tol`` (``scalars.tol``, or None for a band of 0, as the
-    self-check's exact bands),
-    and that least slack.  ``margin`` is at least twice the tol of every
-    budget (the engine's ``_margin``), so a slack above the least plus
-    ``margin`` is outside the band without a ``band_tol`` call."""
+def _band(cands: list, pot: list, margin) -> tuple:
+    """The float band of ``cands``: the ``(u, v, budget)`` triples whose
+    slack under the potentials ``pot`` is at most the least slack plus twice
+    their own ``tol``, and that least slack.  ``margin`` is at least twice
+    the tol of every budget (the engine's ``_margin``), so a slack above the
+    least plus ``margin`` is outside the band without a ``tol`` call."""
     slacks = [c - pot[u] - pot[v] for u, v, c in cands]
     least = min(slacks)
     if slacks.count(least) == len(slacks):  # all tied: nothing to trim
         return cands, least
-    if band_tol is None:
-        return [p for p, s in zip(cands, slacks) if s == least], least
     edge = least + margin
-    return [p for p, s in zip(cands, slacks) if s <= edge and s <= least + 2 * band_tol(p[2])], least
+    return [p for p, s in zip(cands, slacks) if s <= edge and s <= least + 2 * tol(p[2])], least
 
 
 def _surplus(counts: list) -> int:
@@ -232,12 +228,14 @@ _LINES = {
 def events_to_jsonl(result: RunResult) -> str:
     """The event log as JSON lines: per event, the bytes ``json.dumps`` gives
     ``{"t": t, "kind": kind, "payload": payload}`` with every time dumped by
-    ``dump_scalar``.  The kinds and the payload's other fields are the
-    engine's names and ints; a payload with other fields, or in another
-    order, is written field by field.  Each time's text is computed once per
-    time object, which is once per instant: the engine logs one object for
-    all the events of an instant, and the log keeps each alive, so its id is
-    not reused.  A NaN or infinite time raises ValueError."""
+    ``dump_scalar``.  An event whose payload has its kind's fields in the
+    engine's order, with an ``int`` in each field that is not a time, fills
+    its kind's form; any other event (a bool index, a string value, a field
+    of its own) goes through the strict encoder whole.  On the forms each
+    time's text is computed once per time object, which is once per instant:
+    the engine logs one object for all the events of an instant, and the log
+    keeps each alive, so its id is not reused.  A NaN or infinite time raises
+    ValueError."""
     mode, texts = result.mode, {}
 
     def text(t):
@@ -253,18 +251,18 @@ def events_to_jsonl(result: RunResult) -> str:
         t, kind, payload = ev.t, ev.kind, ev.payload
         if t is not last:
             last, at = t, text(t)
-        if kind == GROW and tuple(payload) == _GROW_FIELDS:
+        if kind == GROW and tuple(payload) == _GROW_FIELDS and type(payload["set"]) is int:
             begin, end = payload["from"], payload["to"]
             if begin is not last_from:
                 last_from, start = begin, text(begin)
             append(_GROW_LINE % (at, payload["set"], start, at if end is t else text(end)))
             continue
         form = _LINES.get(kind)
-        if form is not None and tuple(payload) == form[0]:
+        if form is not None and tuple(payload) == form[0] and all(type(x) is int for x in payload.values()):
             append(form[1] % (at, *payload.values()))
         else:
-            fields = ", ".join(f'"{k}": {text(x) if k in _TIMES else x}' for k, x in payload.items())
-            append(f'{{"t": {at}, "kind": "{kind}", "payload": {{{fields}}}}}\n')
+            payload = {k: dump_scalar(x, mode) if k in _TIMES else x for k, x in payload.items()}
+            append(_encode({"t": dump_scalar(t, mode), "kind": kind, "payload": payload}) + "\n")
     return "".join(lines)
 
 
@@ -401,7 +399,6 @@ class GreedyDualEngine:
         self.self_check = self_check
         n = len(inst.requests)
         self._exact = self.mode == EXACT
-        self._band_tol = None if self._exact else tol  # see ``_band``
         # Distances over distinct positions only: requests often share them.
         grid = inst.grid  # shared and immutable: ``_rescale`` builds new lists
         self._scale, self._pid, self._dist, self._atime, self._sgn = grid.scale, grid.pid, grid.dist, grid.atime, grid.sgn
@@ -561,7 +558,7 @@ class GreedyDualEngine:
         # the band of the final least trims the rest; the margin is at least
         # any band, so a slack past it needs no tol call.
         row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
-        pot, band_tol, margin, au, partner = self.potential, self._band_tol, self._margin, atime[u], -sgn[u]
+        pot, margin, au, partner = self.potential, self._margin, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
         sets = []  # the sets in ``found``, as first found
         exact = self._exact
@@ -592,12 +589,12 @@ class GreedyDualEngine:
                     elif s <= e[0]:
                         e[0] = s
                         e.append((v, u, c))
-                    elif band_tol and s <= e[0] + margin and s <= e[0] + 2 * band_tol(c):
+                    elif s <= e[0] + margin and s <= e[0] + 2 * tol(c):
                         e.append((v, u, c))
         buckets, due, growing, two_clock = self._buckets, self._due, self.growing, 2 * self._clock
         for x in sets:
             e = found[x]
-            buckets[x, sid] = e[1:] if exact or len(e) == 2 else _band(e[1:], pot, band_tol, margin)[0]
+            buckets[x, sid] = e[1:] if exact or len(e) == 2 else _band(e[1:], pot, margin)[0]
             due[x, sid] = two_clock + (e[0] - margin) * _TWO_OVER[1 + (x in growing)]  # the new set grows
         self._log(self.clock, ARRIVAL, {"u": u})
 
@@ -654,19 +651,20 @@ class GreedyDualEngine:
     def _fold(self, a: int, b: int, c: int) -> None:
         """Give the new set ``c`` the buckets of its children ``a`` < ``b``:
         {a, b} goes, and for each other active set x, {a, x} and {b, x}
-        (either may be missing) become {c, x}, the band of their union, due
-        at its new rate.  An exact bucket holds only ties (see above), so its
-        head has its least slack, and the band of the union is the child
-        with the smaller head slack, or both, a's first, on a tie.  Whether
-        ``c`` grows is read from its surplus, as ``_merge`` reads it: ``c``
-        has not matched yet."""
+        (one may be missing, not both: the merge joins an eligible pair, so
+        ``c`` holds a partner for every member of x) become {c, x}, the band
+        of their union, due at its new rate.  An exact bucket holds only ties
+        (see above), so its head has its least slack, and the band of the
+        union is the child with the smaller head slack, or both, a's first,
+        on a tie.  Whether ``c`` grows is read from its surplus, as
+        ``_merge`` reads it: ``c`` has not matched yet."""
         buckets, due, polarity, growing = self._buckets, self._due, self._polarity, self.growing
         pa, pb = polarity.pop(a), polarity.pop(b)
         del buckets[a, b]  # the tight pair that merges a and b is one of its candidates
         due.pop((a, b), None)
         counts = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
         grows = _surplus(counts) > 0
-        pot, band_tol, margin, two_clock, exact = self.potential, self._band_tol, self._margin, 2 * self._clock, self._exact
+        pot, margin, two_clock, exact = self.potential, self._margin, 2 * self._clock, self._exact
         for x in polarity:
             ka = (x, a) if x < a else (a, x)
             kb = (x, b) if x < b else (b, x)
@@ -679,10 +677,8 @@ class GreedyDualEngine:
             r = grows + (x in growing)
             if ca is None or cb is None:
                 cands = cb if ca is None else ca
-                if cands is None:
-                    continue
                 if len(cands) > 1 and not exact:
-                    cands, least = _band(cands, pot, band_tol, margin)
+                    cands, least = _band(cands, pot, margin)
                 elif r:
                     u, v, cost = cands[0]
                     least = cost - pot[u] - pot[v]
@@ -696,7 +692,7 @@ class GreedyDualEngine:
                 else:
                     cands = ca if least < head else ca + cb
             else:
-                cands, least = _band(ca + cb, pot, band_tol, margin)
+                cands, least = _band(ca + cb, pot, margin)
             buckets[x, c] = cands
             if r:
                 due[x, c] = two_clock + (least - margin) * _TWO_OVER[r]
@@ -861,13 +857,17 @@ class GreedyDualEngine:
         # stood when the bucket was built, at the step that made its newer
         # set.  Float rounding may later move a pair across the edge of its
         # band, so an older bucket must hold what the last check saw.
-        banded, old = {}, self._banded_sets
+        banded, old, rpot = {}, self._banded_sets, replay.potential
         for key, cands in buckets.items():
             banded[key] = {(u, v) for u, v, _ in cands}
             if key[1] < old:
                 band = self._banded.get(key)
+            elif self._exact:  # a band of 0: the pairs at the least slack
+                slack = {(u, v): c - rpot[u] - rpot[v] for u, v, c in cross[key]}
+                least = min(slack.values())
+                band = {pair for pair, s in slack.items() if s == least}
             else:
-                band = {(u, v) for u, v, _ in _band(cross[key], replay.potential, self._band_tol, self._margin)[0]}
+                band = {(u, v) for u, v, _ in _band(cross[key], rpot, self._margin)[0]}
             if banded[key] != band:
                 raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
         self._banded, self._banded_sets = banded, len(replay.sets)
@@ -875,7 +875,7 @@ class GreedyDualEngine:
         # exact mode twice the time their least replayed slack closes, in
         # float mode no later than twice the first time one of their
         # candidates meets the tight test under the replayed potentials.
-        due, rpot, two_clock = self._due, replay.potential, 2 * replay.clock
+        due, two_clock = self._due, 2 * replay.clock
         if due.keys() != {key for key in buckets if key[0] in replayed or key[1] in replayed}:
             raise EngineInvariantError("due-time: the buckets with a due time are not the buckets with a growing set")
         for key, d in due.items():

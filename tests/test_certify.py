@@ -9,6 +9,7 @@ from hypothesis import given
 
 from delaymatch.certify import (
     DualCertificate,
+    ViolationReport,
     _Replay,
     certify,
     certify_events,
@@ -400,6 +401,79 @@ def test_an_unknown_payload_field_is_a_trace_shape_violation_at_its_event(tight4
         assert certify_events(inst, events_from_jsonl(text, inst.mode)).to_json() == verdict
 
 
+@pytest.mark.parametrize(
+    "index, changes, detail, witness",
+    [
+        (13, {"u": 0, "v": 2}, "tight pair (0, 2) lies inside one active set", {"u": 0, "v": 2}),
+        (14, {"a": 0}, "merge of sets 0 and 5 not currently active", {"a": 0, "b": 5}),
+        (12, {"b": 4}, "merge of sets 2 and 4 does not join the tight pair (0, 2)", {"a": 2, "b": 4}),
+        (8, {"t": Fraction(3, 2)}, "request 3 arrived at the wrong time", {"u": 3, "at": "3/2", "atime": "5/4"}),
+        (3, {"from": Fraction(1)}, "empty growth interval", {"set": 1}),
+    ],
+    ids=["tight-inside-a-set", "merge-of-an-inactive-set", "merge-off-the-tight-pair", "late-arrival", "empty-growth"],
+)
+def test_a_tampered_event_is_refused_at_its_index(tight4, index, changes, detail, witness):
+    """Each admission refusal of the replay, on one event of a clean trace
+    (events 12 to 14: set 5 is made of sets 2 and 3 when (0, 2) goes tight,
+    then set 6 of sets 4 and 5)."""
+    inst, res = tight4
+    verdict = certify_events(inst, _tamper(list(res.event_log), index, **changes))
+    assert verdict.to_json() == {
+        "ok": False,
+        "property": "trace-shape",
+        "detail": detail,
+        "witness": witness,
+        "event_index": index,
+    }
+
+
+def test_a_tight_pair_of_one_polarity_is_refused():
+    inst = make_instance(MBPMD, LINE, [(0, 0, 1), (1, 0, -1), (10, 0, 1), (11, 0, -1)])
+    events = list(run(inst).event_log)
+    i = next(i for i, e in enumerate(events) if e.kind == TIGHT)
+    assert events[i].payload == {"u": 0, "v": 1}
+    verdict = certify_events(inst, _tamper(events, i, v=2))
+    assert verdict == ViolationReport("trace-shape", "tight pair (0, 2) is not eligible", {"u": 0, "v": 2}, i)
+
+
+def test_a_trace_that_ends_on_a_tight_event_is_refused(tight4):
+    inst, res = tight4
+    events = list(res.event_log)
+    assert events[13].kind == TIGHT
+    verdict = certify_events(inst, events[:14])
+    assert verdict == ViolationReport("trace-shape", "trace ends on a dangling tight event", {}, -1)
+
+
+@pytest.mark.parametrize(
+    "changes, detail, witness",
+    [
+        (
+            lambda res: {"matching": res.matching[::-1]},
+            "reported matching differs from the replayed one",
+            {"reported": [[6, 7], [4, 5], [2, 3], [0, 1]]},
+        ),
+        (
+            lambda res: {"marked_edges": res.marked_edges[::-1]},
+            "reported marked edges differ from the replayed ones",
+            {"reported": [[5, 7], [4, 6], [3, 5], [2, 4], [1, 3], [0, 2], [0, 1]]},
+        ),
+        (
+            lambda res: {"all_sets": res.all_sets[:-1]},
+            "reported 14 sets, replay created 15",
+            {"reported": 14, "derived": 15},
+        ),
+    ],
+    ids=["matching", "marked-edges", "set-count"],
+)
+def test_a_summary_that_is_not_the_replays_is_refused(tight4, changes, detail, witness):
+    """The cross-check compares the run's matching, marked edges and set
+    count with the replay's, after its totals: reordered lists or a dropped
+    set record leave the totals as they were."""
+    inst, res = tight4
+    verdict = certify(inst, replace(res, **changes(res)))
+    assert verdict == ViolationReport("summary-consistency", detail, witness, -1)
+
+
 def test_exact_trace_time_given_as_a_float_or_a_string_is_refused(tight4):
     inst, res = tight4
     events = list(res.event_log)
@@ -642,12 +716,24 @@ def test_merge_tree_routes_are_the_marked_paths_on_the_differential_corpus(diffe
             assert route == reference
 
 
+def pair_value(replay, u, v):
+    """The scaled value of pair (u, v) where ``replay`` stands, found apart
+    from its reader: the two potentials recorded by the lowest set holding
+    both ends (sets come in id order, each before the sets above it), or,
+    when no set holds both, their two potentials now."""
+    for rec in replay.sets:
+        if u in rec.members and v in rec.members:
+            return rec.members[u] + rec.members[v]
+    return replay.potential[u] + replay.potential[v]
+
+
 def _assert_admitted_structure(replay):
     """The structure admission guarantees (see ``certify``), wherever a
     replay stopped: the active sets partition the arrived requests and
     ``assign`` names each one's set; the marked edges inside each active set
     number one less than its members and close no cycle, and none crosses
-    active sets; each marked edge's frozen value is at its budget."""
+    active sets; each marked edge's value is at its budget.  There too the
+    replay's rows give every arrived pair its reference value."""
     active = [rec for rec in replay.sets if rec.parent is None]
     assert sorted(u for rec in active for u in rec.members) == list(range(replay.next_arrival))
     assign = replay.assign
@@ -666,7 +752,9 @@ def _assert_admitted_structure(replay):
     inside = [assign[u] for u, v, _ in replay.marked if assign[u] == assign[v]]
     assert len(inside) == len(replay.marked), "a marked edge crosses active sets"
     assert all(inside.count(rec.set_id) == len(rec.members) - 1 for rec in active)
-    assert all(replay._at_budget(replay.frozen[u, v], replay.grid.cost(u, v)) for u, v, _ in replay.marked)
+    assert all(replay._at_budget(pair_value(replay, u, v), replay.grid.cost(u, v)) for u, v, _ in replay.marked)
+    rows = [(u, v, c, pair_value(replay, u, v)) for u, v, c in replay.grid.pairs(replay.next_arrival)]
+    assert list(replay._rows(replay.next_arrival)) == rows
 
 
 def test_admission_keeps_the_laminar_structure(differential, monkeypatch):
@@ -707,9 +795,10 @@ def test_frozen_value_is_the_potentials_less_twice_the_shared_growth(inst):
     frozen value is their sum less twice that shared growth."""
     replay = _Replay(inst)
     assert replay.drive(list(run(inst).event_log), True) is None
-    assert replay.frozen
-    potential, zero = replay.potential, replay.zero
-    for (u, v), x in replay.frozen.items():
+    potential, zero, n = replay.potential, replay.zero, len(inst.requests)
+    joined = [(u, v, x) for u, v, _, x in replay._rows(n) if replay.assign[u] == replay.assign[v]]
+    assert joined
+    for u, v, x in joined:
         shared = sum((rec.y for rec in replay.sets if u in rec.members and v in rec.members), zero)
         derived = potential[u] + potential[v] - 2 * shared
         if inst.mode == EXACT:
@@ -720,8 +809,8 @@ def test_frozen_value_is_the_potentials_less_twice_the_shared_growth(inst):
 
 def _two_pass(inst, events):
     """The verdict of two sweeps: the stop sweep where the replay stopped,
-    then each pair's slack read through ``pair_value``, with the waiting cost
-    summed over the requests' own arrival times."""
+    then each pair's slack read through the reference ``pair_value``, with
+    the waiting cost summed over the requests' own arrival times."""
     replay = _Replay(inst)
     report = replay.stop_sweep(replay.drive(events, True))
     if report is not None:
@@ -738,7 +827,7 @@ def _two_pass(inst, events):
         num_events=len(events),
         num_sets=len(replay.sets),
         num_marked_edges=len(replay.marked),
-        slacks=tuple((u, v, c - replay.pair_value(u, v)) for u, v, c in replay.grid.pairs(n)),
+        slacks=tuple((u, v, c - pair_value(replay, u, v)) for u, v, c in replay.grid.pairs(n)),
         scale=replay.grid.scale,
     )
 

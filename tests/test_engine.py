@@ -23,7 +23,7 @@ from delaymatch.engine import (
     events_to_jsonl,
     run,
 )
-from delaymatch.certify import _Replay, certify
+from delaymatch.certify import _Replay, certify, certify_events
 from delaymatch.generators import gen_random_instance, gen_tightness_instance
 from delaymatch.instance import MBPMD, MPMD, InstanceError, make_instance
 from delaymatch.metric import EuclideanMetric
@@ -154,7 +154,9 @@ def test_stepwise_constraint_values():
 
     def value():
         assert replay.drive(eng.events) is None
-        return replay.external(replay.pair_value(0, 1))
+        ((u, v, _, x),) = replay._rows(2)  # the one pair
+        assert (u, v) == (0, 1)
+        return replay.external(x)
 
     assert eng.next_event() == (Fraction(0), ARRIVAL)
     assert eng.step()  # both arrivals at t=0
@@ -219,8 +221,10 @@ def test_events_jsonl_rejects_garbage():
         ('[0, "arrival", {"u": 1}]', "line must be an object, got list"),
         ('{"t": 5, "t": 0, "kind": "arrival", "payload": {"u": 1}}', "repeated key 't'"),
         ('{"t": 0, "kind": "arrival", "payload": {"u": 3, "u": 1}}', "repeated key 'u'"),
+        ('{"t": 0, "kind": "arrival", "payload": [1]}', "payload must be an object, got list"),
+        ('{"t": 0, "kind": 7, "payload": {"u": 1}}', "kind must be a string, got int"),
     ],
-    ids=["no-t", "no-kind", "no-payload", "extra-field", "list", "two-t", "two-u"],
+    ids=["no-t", "no-kind", "no-payload", "extra-field", "list", "two-t", "two-u", "list-payload", "int-kind"],
 )
 def test_a_trace_line_of_another_shape_is_named(line, error):
     """A line is an object with exactly ``t``, ``kind`` and ``payload``."""
@@ -240,6 +244,39 @@ def test_a_non_finite_time_is_not_written(bad):
     for i, ev in ((0, replace(log[0], t=bad)), (grow, replace(log[grow], payload={**log[grow].payload, "to": bad}))):
         with pytest.raises(ValueError):
             events_to_jsonl(replace(res, event_log=(*log[:i], ev, *log[i + 1 :])))
+
+
+@pytest.mark.parametrize(
+    "kind, payload, prop",
+    [
+        (ARRIVAL, {"u": True}, "trace-shape"),
+        (GROW, {"set": True}, "trace-shape"),
+        (MATCH, {"u": 0, "v": 1.0}, "matching-validity"),
+        (MATCH, {"u": 0, "v": 1, "note": "x"}, "trace-shape"),
+        ("match\n", {"u": 0, "v": 1}, "trace-shape"),
+    ],
+    ids=["bool-index", "bool-set", "float-index", "string-field", "odd-kind"],
+)
+def test_a_payload_that_is_not_the_engines_is_written_as_json(kind, payload, prop):
+    """A line whose values are not the engine's ints, or whose payload or
+    kind is not the engine's, is written by the strict encoder: the
+    reference bytes, read back to the records certified in memory."""
+    from test_golden_traces import reference_jsonl
+
+    inst = make_instance(MPMD, LINE, [(0, 0, 0), (2, 0, 0)])
+    res = run(inst)
+    log = list(res.event_log)
+    i = next(i for i, ev in enumerate(log) if ev.kind == (kind if kind in (ARRIVAL, GROW) else MATCH))
+    if kind == GROW:
+        payload = {**log[i].payload, **payload}
+    tampered = replace(res, event_log=(*log[:i], replace(log[i], kind=kind, payload=payload), *log[i + 1 :]))
+    text = events_to_jsonl(tampered)
+    assert text == reference_jsonl(tampered)
+    back = events_from_jsonl(text, res.mode)
+    assert back == list(tampered.event_log)
+    verdict = certify_events(inst, back)
+    assert verdict == certify_events(inst, tampered.event_log)
+    assert (verdict.prop, verdict.event_index) == (prop, i)
 
 
 def test_each_time_is_written_once_per_instant(monkeypatch):

@@ -3,6 +3,7 @@ must give the traces of a flat scan over every live eligible cross-set pair,
 the engine's earlier event search, kept here as the reference."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -60,12 +61,20 @@ class FlatScanEngine(GreedyDualEngine):
         self.flat = [p for p in self.flat if assign[p[0]] != assign[p[1]]]
 
 
-class TiesOnly(GreedyDualEngine):
-    """Buckets that keep only exact ties in float mode too: no band."""
+def _ties(cands, pot, margin):
+    """``engine._band`` with a band of 0: the candidates at the least slack."""
+    slacks = [c - pot[u] - pot[v] for u, v, c in cands]
+    least = min(slacks)
+    return [p for p, s in zip(cands, slacks) if s == least], least
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._band_tol = None
+
+class TiesOnly(GreedyDualEngine):
+    """Buckets that keep only exact ties in float mode too: its steps rank
+    candidates with ``_ties`` in place of the band."""
+
+    def step(self):
+        with mock.patch.object(engine, "_band", _ties):
+            return super().step()
 
 
 class FoldCounter(GreedyDualEngine):

@@ -248,6 +248,15 @@ class LateDueTime(GreedyDualEngine):
             self._due[next(iter(self._due))] += 1
 
 
+class DroppedDueTime(GreedyDualEngine):
+    """Forgets the due time of the bucket the second arrival makes."""
+
+    def _admit(self, u):
+        super()._admit(u)
+        if u == 1:
+            del self._due[0, 1]
+
+
 class FoldKeepsLoser(GreedyDualEngine):
     """Folds {a, x} and {b, x} into {c, x} by keeping the candidates of both
     whole, not the band of their union."""
@@ -403,6 +412,16 @@ def test_self_check_names_a_late_due_time():
     for inst in CORPUS:
         with pytest.raises(EngineInvariantError, match=late):
             LateDueTime(inst, self_check=True).run()
+
+
+def test_self_check_names_a_dropped_due_time():
+    """A bucket with a growing set and no due time is named at the step
+    that made it: the arrivals of requests 0 and 1 at time 0."""
+    eng = DroppedDueTime(gen_tightness_instance(4), self_check=True)
+    with pytest.raises(EngineInvariantError) as info:
+        eng.run()
+    assert str(info.value) == "due-time: the buckets with a due time are not the buckets with a growing set"
+    assert [(ev.t, ev.kind) for ev in eng.events] == [(0, "arrival"), (0, "arrival")]
 
 
 @pytest.mark.parametrize(
