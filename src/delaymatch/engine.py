@@ -81,6 +81,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .instance import Instance, decode_json
@@ -223,6 +224,8 @@ _LINES = {
     MERGE: (("set", "a", "b"), '{"t": %s, "kind": "merge", "payload": {"set": %s, "a": %s, "b": %s}}\n'),
     MATCH: (("u", "v"), '{"t": %s, "kind": "match", "payload": {"u": %s, "v": %s}}\n'),
 }
+# The writer's view of each form: its fields, the type of each value (int), its line.
+_FORMS = {kind: (fields, (int,) * len(fields), line) for kind, (fields, line) in _LINES.items()}
 
 
 def events_to_jsonl(result: RunResult) -> str:
@@ -257,9 +260,9 @@ def events_to_jsonl(result: RunResult) -> str:
                 last_from, start = begin, text(begin)
             append(_GROW_LINE % (at, payload["set"], start, at if end is t else text(end)))
             continue
-        form = _LINES.get(kind)
-        if form is not None and tuple(payload) == form[0] and all(type(x) is int for x in payload.values()):
-            append(form[1] % (at, *payload.values()))
+        form = _FORMS.get(kind)
+        if form is not None and tuple(payload) == form[0] and tuple(map(type, payload.values())) == form[1]:
+            append(form[2] % (at, *payload.values()))
         else:
             payload = {k: dump_scalar(x, mode) if k in _TIMES else x for k, x in payload.items()}
             append(_encode({"t": dump_scalar(t, mode), "kind": kind, "payload": payload}) + "\n")
@@ -400,8 +403,7 @@ class GreedyDualEngine:
         n = len(inst.requests)
         self._exact = self.mode == EXACT
         # Distances over distinct positions only: requests often share them.
-        grid = inst.grid  # shared and immutable: ``_rescale`` builds new lists
-        self._scale, self._pid, self._dist, self._atime, self._sgn = grid.scale, grid.pid, grid.dist, grid.atime, grid.sgn
+        self._grid = grid = inst.grid  # shared and immutable: ``_rescale`` replaces it
         # How far a due time's slack lies below the least slack (see above): twice
         # the tol of a bound on every budget, the largest distance plus the arrival span.
         self._margin = 0 if self._exact or not n else 2 * tol(max(map(max, grid.dist)) + (max(grid.atime) - min(grid.atime)))
@@ -425,7 +427,7 @@ class GreedyDualEngine:
             from .certify import _Replay  # certify imports this module
 
             self._replay = _Replay(inst)
-            self._banded, self._banded_sets = {}, 0  # the last check's buckets, and how many sets it saw
+            self._banded = {}  # the candidate pairs of each bucket the last check saw
 
     # -- scaled values ----------------------------------------------------
 
@@ -434,22 +436,20 @@ class GreedyDualEngine:
         if not self._exact:
             return t
         den = t.denominator
-        if self._scale % den:
-            self._rescale(den // gcd(self._scale, den))
-        return t.numerator * (self._scale // den)
+        if self._grid.scale % den:
+            self._rescale(den // gcd(self._grid.scale, den))
+        return t.numerator * (self._grid.scale // den)
 
     def _external(self, x, div: int = 1) -> Scalar:
         """The value a scaled ``x`` stands for, divided by ``div``."""
         if self._exact:
-            return Fraction(x, self._scale * div)
+            return Fraction(x, self._grid.scale * div)
         return x / div if div != 1 else x
 
     def _rescale(self, k: int) -> None:
-        self._scale *= k
+        self._grid = self._grid.rescaled(k)
         self._clock *= k
         self.potential = [p * k for p in self.potential]
-        self._atime = [t * k for t in self._atime]
-        self._dist = [[d * k for d in row] for row in self._dist]
         for rec in self.sets:
             rec.y *= k
         self._buckets = {key: [(u, v, c * k) for u, v, c in cands] for key, cands in self._buckets.items()}
@@ -464,7 +464,7 @@ class GreedyDualEngine:
         ties; None once everything has arrived and matched.  A state with
         unmatched requests but nothing to wait for is a stuck-state bug.
         """
-        arrivals_left = self.next_arrival < len(self._atime)
+        arrivals_left = self.next_arrival < len(self._grid.atime)
         key = self._least_tight_key()
         if key is not None:
             # Twice the tight time, scaled.  Doubling is exact in binary64, so
@@ -472,7 +472,7 @@ class GreedyDualEngine:
             t2 = 2 * self._clock + key
             if not self._exact and t2 < 2 * self._clock:
                 t2 = 2 * self._clock
-            if not arrivals_left or 2 * self._atime[self.next_arrival] > t2:
+            if not arrivals_left or 2 * self._grid.atime[self.next_arrival] > t2:
                 return (self._external(t2, 2), TIGHT)
         if arrivals_left:
             return (self.inst.requests[self.next_arrival].atime, ARRIVAL)
@@ -540,7 +540,7 @@ class GreedyDualEngine:
         req = self.inst.requests[u]
         if u != self.next_arrival:
             raise EngineInvariantError(f"arrivals must be admitted in order; expected {self.next_arrival}, got {u}")
-        if self._atime[u] != self._clock:
+        if self._grid.atime[u] != self._clock:
             raise EngineInvariantError(f"arrival of {u} at clock {self.clock}, but atime is {req.atime}")
         self.next_arrival += 1
         sid = len(self.sets)
@@ -548,16 +548,16 @@ class GreedyDualEngine:
         self.sets.append(rec)
         self.growing.add(sid)
         self.assign[u] = sid
-        sgn = self._sgn
+        grid = self._grid
         self._polarity[sid] = counts = [0, 0, 0]
-        counts[sgn[u]] = 1
+        counts[grid.sgn[u]] = 1
         # Every earlier request sits in another active set: all pairs cross.
         # One pass groups them by set.  Exact mode keeps the pairs tied at the
         # least slack so far, which leaves the ties at the final least.  Float
         # mode keeps the pairs within the band of the least slack so far, and
         # the band of the final least trims the rest; the margin is at least
         # any band, so a slack past it needs no tol call.
-        row, pid, atime, assign = self._dist[self._pid[u]], self._pid, self._atime, self.assign
+        row, pid, atime, sgn, assign = grid.dist[grid.pid[u]], grid.pid, grid.atime, grid.sgn, self.assign
         pot, margin, au, partner = self.potential, self._margin, atime[u], -sgn[u]
         found = [None] * sid  # set -> [least slack, (v, u, budget), ...]
         sets = []  # the sets in ``found``, as first found
@@ -734,8 +734,8 @@ class GreedyDualEngine:
             t, kind = ev
             self.advance_to(t)
             if kind == ARRIVAL:
-                n = len(self._atime)
-                while self.next_arrival < n and self._atime[self.next_arrival] == self._clock:
+                atime = self._grid.atime
+                while self.next_arrival < len(atime) and atime[self.next_arrival] == self._clock:
                     self._admit(self.next_arrival)
             self.process_tight()
             if not (self.clock > clock or self.clock == clock and len(self.events) > logged):
@@ -769,7 +769,7 @@ class GreedyDualEngine:
             raise EngineInvariantError("run ended with unmatched requests")
         # Sums on the grid: scaled ints in exact mode, where each match time
         # is on the grid, as every event time is.
-        dist, pid, atime, internal = self._dist, self._pid, self._atime, self._internal
+        dist, pid, atime, internal = self._grid.dist, self._grid.pid, self._grid.atime, self._internal
         connection = waiting = dual = self._zero
         for u, v, t in matching:
             t = internal(t)
@@ -804,73 +804,70 @@ class GreedyDualEngine:
     def _self_check(self, result: RunResult = None) -> None:
         """Drive the certifier's replay over the event log, to the endgame
         given the finished ``result``, then compare the engine caches a replay
-        cannot see.  The first breach raises EngineInvariantError."""
+        cannot see with its active sets.  The first breach raises EngineInvariantError."""
         replay = self._replay
         if report := replay.drive(self.events, result is not None, result):
             raise EngineInvariantError(f"{report.prop}: {report.detail}")
-        arrived, assign, buckets = self.next_arrival, replay.assign, self._buckets
+        arrived, assign, rpot, active = self.next_arrival, replay.assign, replay.potential, replay.active
         for u in range(arrived):
-            cached, replayed = self._external(self.potential[u]), replay.external(replay.potential[u])
+            cached, replayed = self._external(self.potential[u]), replay.external(rpot[u])
             if not eq(cached, replayed, self.mode):
                 raise EngineInvariantError(f"potential: request {u}: cached {cached}, replayed {replayed}")
-        members = {}  # replayed active set -> its arrived members
-        for u in range(arrived):
-            members.setdefault(assign[u], []).append(u)
         # The growing sets must be the replayed active sets with a free request.
-        if self.growing != (replayed := {a for a in members if replay.sets[a].free}):
+        if self.growing != (replayed := {a for a, rec in active.items() if rec.free}):
             raise EngineInvariantError(f"growth-flag: growing sets {sorted(self.growing)}, replayed {sorted(replayed)}")
-        # There must be one bucket per pair of replayed active sets with an
-        # eligible pair of arrived requests between them, and as many such
-        # pairs as ``live_pairs`` counts.
-        grid, sets = replay.grid, sorted(members)
+        # ``_polarity``, which ``live_pairs`` counts, must hold each replayed
+        # active set's [neutral, positive, negative] members, and there must be
+        # one bucket per pair of sets whose counts allow an eligible pair.
+        grid, buckets = replay.grid, self._buckets
         dist, pid, atime, sgn = grid.dist, grid.pid, grid.atime, grid.sgn
-        cross = {}  # (a, b) -> the eligible pairs (u, v, replayed budget) between sets a < b
-        for i, a in enumerate(sets):
-            for b in sets[i + 1 :]:
-                pairs = []
-                for x in members[a]:
+        counts = {}
+        for a, rec in active.items():
+            counts[a] = n = [0, 0, 0]
+            for w in rec.members:
+                n[sgn[w]] += 1
+        linked = {  # ``active`` is in set-id order, so a < b
+            (a, b)
+            for (a, x), (b, y) in combinations(counts.items(), 2)
+            if x[0] and y[0] or x[1] and y[2] or x[2] and y[1]
+        }
+        not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
+        if self._polarity != counts or buckets.keys() != linked:
+            raise EngineInvariantError(not_cross)
+        # Each candidate must be listed once, an eligible pair u < v of arrived
+        # requests that joins its bucket's sets, at its budget.  A bucket the
+        # last check did not see must hold the least-slack band of its pairs,
+        # built from the replay's members, potentials and grid.  Float rounding
+        # may later move a pair across the edge of its band, so a bucket the
+        # last check saw must hold what that check saw.
+        banded, cost = {}, self._grid.cost
+        for (a, b), cands in buckets.items():
+            pairs = banded[a, b] = {(u, v) for u, v, _ in cands}
+            if len(pairs) != len(cands):
+                raise EngineInvariantError(not_cross)
+            for u, v, c in cands:
+                if not 0 <= u < v < arrived or sgn[u] != -sgn[v] or {assign[u], assign[v]} != {a, b}:
+                    raise EngineInvariantError(not_cross)
+                if c != cost(u, v):
+                    raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(c)}")
+            band = self._banded.get((a, b))
+            if band is None:
+                cross = []  # the eligible pairs (u, v, replayed budget) between sets a and b
+                for x in active[a].members:
                     row, tx, partner = dist[pid[x]], atime[x], -sgn[x]
-                    for y in members[b]:
+                    for y in active[b].members:
                         if sgn[y] == partner:
                             c = row[pid[y]] + abs(tx - atime[y])
-                            pairs.append((x, y, c) if x < y else (y, x, c))
-                if pairs:
-                    cross[a, b] = pairs
-        not_cross = "live-pairs: live pairs are not the eligible cross-set pairs"
-        if (
-            buckets.keys() != cross.keys()
-            or self._polarity.keys() != members.keys()
-            or len(self.live_pairs) != sum(map(len, cross.values()))
-        ):
-            raise EngineInvariantError(not_cross)
-        # Each candidate must be one of its bucket's pairs, listed once.
-        for key, cands in buckets.items():
-            pairs = {(u, v) for u, v, _ in cross[key]}
-            if len({(u, v) for u, v, _ in cands} & pairs) != len(cands):
-                raise EngineInvariantError(not_cross)
-        dist, pid, atime = self._dist, self._pid, self._atime
-        for cands in buckets.values():
-            for u, v, c in cands:
-                if c != dist[pid[u]][pid[v]] + abs(atime[u] - atime[v]):
-                    raise EngineInvariantError(f"live-pairs: pair ({u}, {v}): cached budget {self._external(c)}")
-        # And each bucket must hold the least-slack band of its pairs as it
-        # stood when the bucket was built, at the step that made its newer
-        # set.  Float rounding may later move a pair across the edge of its
-        # band, so an older bucket must hold what the last check saw.
-        banded, old, rpot = {}, self._banded_sets, replay.potential
-        for key, cands in buckets.items():
-            banded[key] = {(u, v) for u, v, _ in cands}
-            if key[1] < old:
-                band = self._banded.get(key)
-            elif self._exact:  # a band of 0: the pairs at the least slack
-                slack = {(u, v): c - rpot[u] - rpot[v] for u, v, c in cross[key]}
-                least = min(slack.values())
-                band = {pair for pair, s in slack.items() if s == least}
-            else:
-                band = {(u, v) for u, v, _ in _band(cross[key], rpot, self._margin)[0]}
-            if banded[key] != band:
-                raise EngineInvariantError(f"live-pairs: sets {key}: candidates are not the least-slack band")
-        self._banded, self._banded_sets = banded, len(replay.sets)
+                            cross.append((x, y, c) if x < y else (y, x, c))
+                if self._exact:  # a band of 0: the pairs at the least slack
+                    slack = {(u, v): c - rpot[u] - rpot[v] for u, v, c in cross}
+                    least = min(slack.values())
+                    band = {pair for pair, s in slack.items() if s == least}
+                else:
+                    band = {(u, v) for u, v, _ in _band(cross, rpot, self._margin)[0]}
+            if pairs != band:
+                raise EngineInvariantError(f"live-pairs: sets {(a, b)}: candidates are not the least-slack band")
+        self._banded = banded
         # Exactly the buckets with a growing set must have a due time: in
         # exact mode twice the time their least replayed slack closes, in
         # float mode no later than twice the first time one of their
@@ -880,13 +877,13 @@ class GreedyDualEngine:
             raise EngineInvariantError("due-time: the buckets with a due time are not the buckets with a growing set")
         for key, d in due.items():
             f = _TWO_OVER[(key[0] in replayed) + (key[1] in replayed)]
-            if self._exact:
-                d = Fraction(d, self._scale)
-                at = two_clock + replay.external(f * min(c - rpot[u] - rpot[v] for u, v, c in cross[key]))
+            budgets = [(u, v, grid.cost(u, v)) for u, v, _ in buckets[key]]
+            if self._exact:  # the band check made the candidates the pairs at the least slack
+                d = Fraction(d, self._grid.scale)
+                at = two_clock + replay.external(f * min(c - rpot[u] - rpot[v] for u, v, c in budgets))
                 wrong = d != at
             else:
-                cands = banded[key]
-                at = min(two_clock + (c - tol(c) - rpot[u] - rpot[v]) * f for u, v, c in cross[key] if (u, v) in cands)
+                at = min(two_clock + (c - tol(c) - rpot[u] - rpot[v]) * f for u, v, c in budgets)
                 wrong = d > at
             if wrong:
                 raise EngineInvariantError(f"due-time: sets {key}: due at {d / 2}, replayed {at / 2}")

@@ -205,6 +205,20 @@ def test_a_bad_match_is_named_by_the_first_check_it_fails(variant, at, u, v, det
     assert (verdict.prop, verdict.detail, verdict.event_index) == ("matching-validity", detail, at)
 
 
+def test_a_trace_cut_after_its_last_arrival_leaves_requests_unmatched():
+    """Every request has arrived and none is matched: the endgame names them."""
+    inst = make_instance(MPMD, LINE, [(p, t, 0) for p, t, _ in FOUR_AT_ZERO])
+    events = list(run(inst).event_log)
+    last = max(i for i, e in enumerate(events) if e.kind == ARRIVAL)
+    verdict = certify_events(inst, events[: last + 1])
+    assert (verdict.prop, verdict.detail, verdict.event_index) == (
+        "matching-validity",
+        "run ended with unmatched requests",
+        -1,
+    )
+    assert verdict.witness == {"unmatched": [0, 1, 2, 3]}
+
+
 def _move_instant(events, t, new):
     """``events`` with every event at time ``t``, and the end of every growth
     interval there, moved to ``new``."""

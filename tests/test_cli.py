@@ -9,9 +9,9 @@ import pytest
 
 from delaymatch import cli
 from delaymatch.certify import certify, certify_events
-from delaymatch.engine import events_from_jsonl, run
+from delaymatch.engine import events_from_jsonl, events_to_jsonl, run
 from delaymatch.generators import gen_random_instance, gen_ring_instance, gen_tightness_instance
-from delaymatch.instance import parse_instance
+from delaymatch.instance import MPMD, instance_json, make_instance, parse_instance
 from test_event_search import near_tie_instance
 
 CLI = [sys.executable, "-m", "delaymatch.cli"]
@@ -108,6 +108,26 @@ def test_tampered_trace_fails_with_exit_2(tight4_file, tmp_path):
     check = run_cli("certify", str(tight4_file), str(trace))
     assert check.returncode == 2
     assert json.loads(check.stdout)["ok"] is False
+
+
+def test_a_trace_cut_after_its_last_arrival_exits_2(tmp_path):
+    """Four requests at time 0, and the trace stops after their arrivals:
+    ``certify`` names the unmatched requests at the endgame."""
+    inst = make_instance(MPMD, {"kind": "line"}, [(0, 0, 0), (0, 0, 0), (100, 0, 0), (100, 0, 0)])
+    path, trace = tmp_path / "four.json", tmp_path / "four.jsonl"
+    path.write_text(instance_json(inst))
+    lines = events_to_jsonl(run(inst)).splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if '"kind": "arrival"' in line)
+    trace.write_text("".join(lines[: last + 1]))
+    check = run_cli("certify", str(path), str(trace))
+    assert check.returncode == 2, check.stdout + check.stderr
+    doc = json.loads(check.stdout)
+    assert (doc["property"], doc["detail"], doc["event_index"], doc["witness"]) == (
+        "matching-validity",
+        "run ended with unmatched requests",
+        -1,
+        {"unmatched": [0, 1, 2, 3]},
+    )
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,9 @@ def test_arrivals_must_be_admitted_in_order_at_their_times():
     eng = GreedyDualEngine(inst)
     with pytest.raises(EngineInvariantError):
         eng._admit(1)
+    eng._admit(0)
+    with pytest.raises(EngineInvariantError, match=r"^arrival of 1 at clock 0, but atime is 1$"):
+        eng._admit(1)
 
 
 def test_run_is_deterministic_in_process():

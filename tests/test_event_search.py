@@ -34,7 +34,7 @@ class FlatScanEngine(GreedyDualEngine):
 
     def _admit(self, u):
         super()._admit(u)
-        row, pid, atime, sgn = self._dist[self._pid[u]], self._pid, self._atime, self._sgn
+        row, pid, atime, sgn = self._grid.dist[self._grid.pid[u]], self._grid.pid, self._grid.atime, self._grid.sgn
         au, partner = atime[u], -sgn[u]
         self.flat += [(v, u, row[pid[v]] + (au - atime[v])) for v in range(u) if sgn[v] == partner]
 
@@ -269,7 +269,7 @@ def assert_exact_buckets_hold_ties(eng):
     set is due at ``2 * clock + f * least``, ``f = 2 / r`` for ``r`` growing
     sets; the others have no due time."""
     grid, pot, growing = eng.inst.grid, eng.potential, eng.growing
-    k = eng._scale // grid.scale  # the engine's rescales so far
+    k = eng._grid.scale // grid.scale  # the engine's rescales so far
     dist, pid, atime, sgn = grid.dist, grid.pid, grid.atime, grid.sgn
     members = {}
     for u in range(eng.next_arrival):

@@ -41,7 +41,7 @@ class BudgetWithoutGap(GreedyDualEngine):
 
     def _admit(self, u):
         super()._admit(u)
-        dist, pid = self._dist, self._pid
+        dist, pid = self._grid.dist, self._grid.pid
         for key, cands in self._buckets.items():
             self._buckets[key] = [(a, b, dist[pid[a]][pid[b]] if b == u else c) for a, b, c in cands]
 
@@ -171,7 +171,7 @@ class UnarrivedLivePair(_BucketsFault):
         if not buckets or w < self.next_arrival or not partners:
             return None
         u = partners[0]
-        budget = self._dist[self._pid[u]][self._pid[w]] + abs(self._atime[u] - self._atime[w])
+        budget = self._grid.cost(u, w)
         key, cands = next(iter(buckets.items()))
         return {**buckets, key: cands + [(u, w, budget)]}
 
@@ -294,6 +294,30 @@ class FoldKeepsLargerHead(GreedyDualEngine):
                     self._buckets[x, c] = ca if sa > sb else cb
 
 
+class OldBucketLosesACandidate(GreedyDualEngine):
+    """Once, after a tight scan, drops the last candidate of the first bucket
+    with two or more whose sets both predate the last self-check."""
+
+    spoilt = None  # the key of the bucket it spoilt
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._checked = 0  # how many sets there were at the last self-check
+
+    def _self_check(self, result=None):
+        super()._self_check(result)
+        self._checked = len(self.sets)
+
+    def process_tight(self):
+        super().process_tight()
+        if self.spoilt is None:
+            for key, cands in self._buckets.items():
+                if key[1] < self._checked and len(cands) > 1:
+                    self.spoilt = key
+                    self._buckets[key] = cands[:-1]
+                    break
+
+
 # What a feasibility sweep after every growth event reports for each CORPUS
 # instance (None: the run completes).
 OVERSHOT_TIGHT = {
@@ -403,6 +427,25 @@ def test_self_check_names_a_fold_that_keeps_the_larger_head():
         else:
             eng.run()
         assert eng.fired == eng._exact, i
+
+
+def test_self_check_holds_an_old_bucket_to_the_last_check():
+    """A bucket whose sets both predate the last check builds no cross pairs:
+    it must hold the candidates that check saw.  One dropped candidate
+    changes no trace until the bucket is due; the self-check names the
+    bucket at the step that spoilt it."""
+    spoilt = []
+    for i, inst in enumerate(CORPUS):
+        eng = OldBucketLosesACandidate(inst, self_check=True)
+        try:
+            eng.run()
+        except EngineInvariantError as exc:
+            assert eng.spoilt is not None, (i, str(exc))
+            assert str(exc) == f"live-pairs: sets {eng.spoilt}: candidates are not the least-slack band", i
+            spoilt.append(i)
+        else:
+            assert eng.spoilt is None, i
+    assert spoilt
 
 
 def test_self_check_names_a_late_due_time():
