@@ -315,7 +315,7 @@ def _bench_one(rec_id, inst, args):
         if not cert.ok:
             violation = cert.to_json()
 
-    summary = result.summary()
+    summary, ratios = result.summary(), report.to_json()
     row = {
         "id": rec_id,
         "variant": inst.variant,
@@ -327,8 +327,8 @@ def _bench_one(rec_id, inst, args):
         "dual_objective": summary["dual_objective"],
         "opt_method": opt_method,
         "opt_value": None if opt_value is None else dump_scalar(opt_value, inst.mode),
-        "ratio_vs_dual": report.to_json()["ratio_vs_dual"],
-        "ratio_vs_opt": report.to_json()["ratio_vs_opt"],
+        "ratio_vs_dual": ratios["ratio_vs_dual"],
+        "ratio_vs_opt": ratios["ratio_vs_opt"],
         "bound_factor": report.bound_factor,
         "within_bound": report.within_bound,
         "certified": certified,

@@ -84,7 +84,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .instance import Instance, decode_json
+from .instance import MPMD, Instance, decode_json
 from .scalars import EXACT, Scalar, dump_scalar, eq, parse_scalar, tol
 
 ARRIVAL = "arrival"
@@ -112,17 +112,8 @@ def _band(cands: list, pot: list, margin) -> tuple:
     least plus ``margin`` is outside the band without a ``tol`` call."""
     slacks = [c - pot[u] - pot[v] for u, v, c in cands]
     least = min(slacks)
-    if slacks.count(least) == len(slacks):  # all tied: nothing to trim
-        return cands, least
     edge = least + margin
     return [p for p, s in zip(cands, slacks) if s <= edge and s <= least + 2 * tol(p[2])], least
-
-
-def _surplus(counts: list) -> int:
-    """The surplus of a set with ``[neutral, positive, negative]`` members:
-    how many stay free once it matches all it can."""
-    neutral, positive, negative = counts
-    return neutral % 2 + abs(positive - negative)
 
 
 class _LivePairs:
@@ -216,16 +207,16 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 # The line of each kind whose payload has the engine's fields in the
 # engine's order, to fill with the time's text and the payload's values.
-_GROW_FIELDS = ("set", "from", "to")
-_GROW_LINE = '{"t": %s, "kind": "grow-interval", "payload": {"set": %s, "from": %s, "to": %s}}\n'
 _LINES = {
     ARRIVAL: (("u",), '{"t": %s, "kind": "arrival", "payload": {"u": %s}}\n'),
     TIGHT: (("u", "v"), '{"t": %s, "kind": "tight", "payload": {"u": %s, "v": %s}}\n'),
     MERGE: (("set", "a", "b"), '{"t": %s, "kind": "merge", "payload": {"set": %s, "a": %s, "b": %s}}\n'),
     MATCH: (("u", "v"), '{"t": %s, "kind": "match", "payload": {"u": %s, "v": %s}}\n'),
+    GROW: (("set", "from", "to"), '{"t": %s, "kind": "grow-interval", "payload": {"set": %s, "from": %s, "to": %s}}\n'),
 }
-# The writer's view of each form: its fields, the type of each value (int), its line.
-_FORMS = {kind: (fields, (int,) * len(fields), line) for kind, (fields, line) in _LINES.items()}
+_GROW_FIELDS, _GROW_LINE = _LINES[GROW]  # the writer's growth path, with its times
+# The writer's view of each other form: its fields, the type of each value (int), its line.
+_FORMS = {kind: (fields, (int,) * len(fields), line) for kind, (fields, line) in _LINES.items() if kind != GROW}
 
 
 def events_to_jsonl(result: RunResult) -> str:
@@ -278,7 +269,7 @@ def _line_pattern():
     index = r"(-?(?:0|[1-9][0-9]*))"
     ends, alternatives, kinds = set(), [], {}
     last = 1  # group 1 is the line's time; the fields of a kind follow in theirs
-    for kind, (fields, line) in {**_LINES, GROW: (_GROW_FIELDS, _GROW_LINE)}.items():
+    for kind, (fields, line) in _LINES.items():
         # The text before the time, then the text after the time and after each field.
         head, *after = line.removesuffix("\n").split("%s")
         ends.add((head, after[-1]))
@@ -421,7 +412,9 @@ class GreedyDualEngine:
         self._buckets: dict[tuple, list] = {}
         # Twice the time each bucket with a growing set is due, scaled (see above).
         self._due: dict[tuple, Scalar] = {}
-        self._polarity: dict[int, list] = {}  # active set -> [neutral, positive, negative] members
+        # Active set -> [neutral, positive, negative] members, counted by
+        # ``live_pairs`` and compared with the replay by ``_self_check``.
+        self._polarity: dict[int, list] = {}
         self.live_pairs = _LivePairs(self._polarity)
         if self_check:
             from .certify import _Replay  # certify imports this module
@@ -635,16 +628,17 @@ class GreedyDualEngine:
 
         sid = len(self.sets)
         members = a.members | b.members
-        self._fold(a.set_id, b.set_id, sid)
-        rec = SetRecord(set_id=sid, members=members, sur=_surplus(self._polarity[sid]), y=self._zero, free=a.free | b.free)
-        self.growing.discard(a.set_id)
-        self.growing.discard(b.set_id)
-        if rec.sur > 0:  # a free request stays once it matches all it can
-            self.growing.add(sid)
+        rec = SetRecord(set_id=sid, members=members, sur=0, y=self._zero, free=a.free | b.free)
         self.sets.append(rec)
         self._log(self.clock, MERGE, {"set": sid, "a": a.set_id, "b": b.set_id})
 
         self._match_free(rec)
+        rec.sur = len(rec.free)
+        self.growing.discard(a.set_id)
+        self.growing.discard(b.set_id)
+        if rec.sur:  # a request stays free once it matched all it could; ``_fold`` reads this
+            self.growing.add(sid)
+        self._fold(a.set_id, b.set_id, sid)
         for w in members:
             self.assign[w] = sid
 
@@ -656,14 +650,13 @@ class GreedyDualEngine:
         of their union, due at its new rate.  An exact bucket holds only ties
         (see above), so its head has its least slack, and the band of the
         union is the child with the smaller head slack, or both, a's first,
-        on a tie.  Whether ``c`` grows is read from its surplus, as
-        ``_merge`` reads it: ``c`` has not matched yet."""
+        on a tie.  Whether ``c`` grows is read from ``growing``, where
+        ``_merge`` put it once ``c`` matched what it could."""
         buckets, due, polarity, growing = self._buckets, self._due, self._polarity, self.growing
         pa, pb = polarity.pop(a), polarity.pop(b)
         del buckets[a, b]  # the tight pair that merges a and b is one of its candidates
         due.pop((a, b), None)
-        counts = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
-        grows = _surplus(counts) > 0
+        grows = c in growing
         pot, margin, two_clock, exact = self.potential, self._margin, 2 * self._clock, self._exact
         for x in polarity:
             ka = (x, a) if x < a else (a, x)
@@ -696,7 +689,7 @@ class GreedyDualEngine:
             buckets[x, c] = cands
             if r:
                 due[x, c] = two_clock + (least - margin) * _TWO_OVER[r]
-        polarity[c] = counts
+        polarity[c] = [pa[0] + pb[0], pa[1] + pb[1], pa[2] + pb[2]]
 
     def _match_free(self, rec: SetRecord) -> None:
         # FIFO: earliest-arrived free request first, then the earliest free
@@ -804,7 +797,13 @@ class GreedyDualEngine:
     def _self_check(self, result: RunResult = None) -> None:
         """Drive the certifier's replay over the event log, to the endgame
         given the finished ``result``, then compare the engine caches a replay
-        cannot see with its active sets.  The first breach raises EngineInvariantError."""
+        cannot see with its active sets.  The first breach raises EngineInvariantError.
+
+        A bucket that one fold spoils and a later fold of the same instant
+        replaces is never checked, and cannot reach a trace: a step scans for
+        tight pairs once, before its first merge, so only the step's later
+        folds read it, and every bucket the step ends with is checked here,
+        with its due time (a new one against its cross pairs)."""
         replay = self._replay
         if report := replay.drive(self.events, result is not None, result):
             raise EngineInvariantError(f"{report.prop}: {report.detail}")
@@ -817,15 +816,15 @@ class GreedyDualEngine:
         if self.growing != (replayed := {a for a, rec in active.items() if rec.free}):
             raise EngineInvariantError(f"growth-flag: growing sets {sorted(self.growing)}, replayed {sorted(replayed)}")
         # ``_polarity``, which ``live_pairs`` counts, must hold each replayed
-        # active set's [neutral, positive, negative] members, and there must be
-        # one bucket per pair of sets whose counts allow an eligible pair.
-        grid, buckets = replay.grid, self._buckets
+        # active set's [neutral, positive, negative] members, read from its
+        # size and summed polarity, and there must be one bucket per pair of
+        # sets whose counts allow an eligible pair.
+        grid, buckets, mpmd = replay.grid, self._buckets, self.inst.variant == MPMD
         dist, pid, atime, sgn = grid.dist, grid.pid, grid.atime, grid.sgn
         counts = {}
         for a, rec in active.items():
-            counts[a] = n = [0, 0, 0]
-            for w in rec.members:
-                n[sgn[w]] += 1
+            size, pol = len(rec.members), rec.pol
+            counts[a] = [size, 0, 0] if mpmd else [0, (size + pol) // 2, (size - pol) // 2]
         linked = {  # ``active`` is in set-id order, so a < b
             (a, b)
             for (a, x), (b, y) in combinations(counts.items(), 2)

@@ -447,6 +447,31 @@ def test_marked_edges_one_per_merge():
     assert res.num_sets == len(inst.requests) + len(merges)
 
 
+def _growth_corpus():
+    out = []
+    for kind in ("line", "ring", "matrix", "euclidean"):
+        for variant in (MPMD, MBPMD):
+            for seed in range(12):
+                out.append(gen_random_instance(seed=seed, m=2 + seed % 9, variant=variant, metric_kind=kind))
+    for m in (2, 4, 6, 12, 20):
+        out += [gen_tightness_instance(m), gen_tightness_instance(m, variant=MBPMD)]
+    for m in (6, 8, 16):
+        out += [generators.gen_ring_instance(m), generators.gen_ring_instance(m, covered_half="ccw")]
+    return out
+
+
+@pytest.mark.parametrize("inst", _growth_corpus())
+def test_a_set_grows_iff_it_keeps_a_request_free(inst):
+    """One growth rule: after every step the growing sets are exactly the
+    active sets (``_polarity``'s keys) that hold a free request, and each
+    active set's surplus is its number of free requests."""
+    eng = GreedyDualEngine(inst)
+    while eng.step():
+        active = [eng.sets[s] for s in eng._polarity]
+        assert eng.growing == {rec.set_id for rec in active if rec.free}
+        assert [rec.sur for rec in active] == [len(rec.free) for rec in active]
+
+
 class NoTightSearch(GreedyDualEngine):
     """An event search that never finds a tight pair."""
 

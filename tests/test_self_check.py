@@ -429,6 +429,29 @@ def test_self_check_names_a_fold_that_keeps_the_larger_head():
         assert eng.fired == eng._exact, i
 
 
+@pytest.mark.parametrize("bug", [FoldKeepsLoser, FoldKeepsLargerHead], ids=lambda cls: cls.__name__)
+def test_a_fold_fault_that_a_later_fold_replaces_leaves_no_trace(bug):
+    """On the two tightness instances every bucket a faulty fold spoils is
+    folded again at the same instant, before the step ends: stepped in
+    lockstep with the clean engine, the faulty one holds the same bucket
+    pairs, due times, potentials and growing sets after every step, so the
+    self-check, which runs between steps, has nothing to see."""
+
+    def pairs(eng):
+        return {key: {(u, v) for u, v, _ in cands} for key, cands in eng._buckets.items()}
+
+    for inst in CORPUS[:2]:
+        clean, faulty = GreedyDualEngine(inst), bug(inst)
+        while clean.step():
+            assert faulty.step()
+            assert pairs(faulty) == pairs(clean)
+            assert faulty._due == clean._due
+            assert faulty.potential == clean.potential
+            assert faulty.growing == clean.growing
+        assert not faulty.step()
+        assert faulty.fired
+
+
 def test_self_check_holds_an_old_bucket_to_the_last_check():
     """A bucket whose sets both predate the last check builds no cross pairs:
     it must hold the candidates that check saw.  One dropped candidate
